@@ -15,22 +15,21 @@
 //! - [`FleetReport`] — per-app / per-fault-class savings
 //!   distributions over a columnar `FleetStats` aggregator
 //!   ([`report`]).
-//! - [`Fleet`] — the epoch engines. [`Fleet::step`] is the barriered
-//!   path: every shard advances exactly one epoch, then merges. The
-//!   hot path, [`Fleet::run`], pipelines shard epochs over a
-//!   persistent `asgov_util::par::WorkerPool`: each shard enters
-//!   epoch `e + 1` as soon as its *own* epoch `e` lands — no global
-//!   barrier — and completed `(epoch, shard)` statistics are buffered
-//!   and folded in barriered order afterward.
+//! - [`Fleet`] — the epoch engine. [`Fleet::step`] advances every
+//!   shard one epoch; [`Fleet::run`] advances every shard through all
+//!   remaining epochs. Both run one job per shard on a persistent
+//!   `asgov_util::par::WorkerPool` — the job advances its shard in
+//!   place and returns one `EpochStats` per epoch — and then fold the
+//!   statistics epoch-major, shard-minor.
 //!
 //! Determinism contract: the aggregate report is **bit-identical**
-//! for any thread count, across the barriered and pipelined engines,
-//! and across a mid-run checkpoint/restore — every random draw
-//! derives from `(seed, device_id, epoch)`, the savings columns merge
-//! exactly (integer fixed-point), and the one floating-point total
-//! folds in a fixed (epoch-major, shard-minor) order. The
-//! differential suite in `tests/fleet_determinism.rs` pins all three
-//! properties.
+//! for any thread count, for any split of the run into `step` and
+//! `run` calls, and across a mid-run checkpoint/restore — every
+//! random draw derives from `(seed, device_id, epoch)`, the savings
+//! columns merge exactly (integer fixed-point), and the one
+//! floating-point total folds in a fixed (epoch-major, shard-minor)
+//! order. The differential suite in `tests/fleet_determinism.rs` pins
+//! all three properties.
 
 pub mod report;
 pub mod shard;
@@ -46,11 +45,10 @@ use asgov_core::persist::{ensure, ensure_config, require};
 use asgov_core::{SnapshotError, SnapshotReader, SnapshotWriter};
 use asgov_obs::FleetStats;
 use asgov_util::par::WorkerPool;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, PoisonError};
 
 /// A fleet run in progress: shard states, the accumulated report, and
-/// the persistent worker pool the epoch engines fan out over.
+/// the persistent worker pool the epoch engine fans out over.
 #[derive(Debug)]
 pub struct Fleet {
     config: FleetConfig,
@@ -61,7 +59,7 @@ pub struct Fleet {
 
 impl Fleet {
     /// Set up a fleet run (epoch 0, no controller state yet). Spawns
-    /// the worker pool once; both epoch engines reuse it.
+    /// the worker pool once; every `step` and `run` reuses it.
     ///
     /// # Errors
     ///
@@ -100,184 +98,80 @@ impl Fleet {
         &self.report
     }
 
-    /// Run one epoch: every shard advances one epoch in parallel
-    /// (deterministic fan-out, epoch barrier on return), then the
-    /// shard statistics merge into the report **in shard order**.
+    /// Run one epoch: every shard advances one epoch in parallel, then
+    /// the shard statistics merge into the report **in shard order**.
     ///
     /// # Errors
     ///
-    /// The first shard error in shard order; the fleet state is left
-    /// unchanged on error.
+    /// [`FleetError::UnknownSignature`] when `store` lacks a roster
+    /// signature, checked before any shard runs, so the fleet is left
+    /// unchanged.
     pub fn step(&mut self, store: &PolicyStore) -> Result<(), FleetError> {
-        if self.done() {
-            return Ok(());
-        }
-        let config = self.config;
-        let prev = &self.shards;
-        let results = self.pool.ordered_map(prev.len(), |s| {
-            prev.get(s)
-                .map(|state| shard::run_epoch(&config, store, state))
-        });
-        let mut next = Vec::with_capacity(self.shards.len());
-        let mut merged = EpochStats::default();
-        for r in results {
-            let (state, stats) = match r {
-                Some(Ok(pair)) => pair,
-                Some(Err(e)) => return Err(e),
-                None => {
-                    return Err(FleetError::BadConfig(
-                        "shard index out of range in fan-out".into(),
-                    ))
-                }
-            };
-            merged.merge(&stats).map_err(|_| FleetError::StatsLayout)?;
-            next.push(state);
-        }
-        self.shards = next;
-        self.report
-            .totals
-            .merge(&merged)
-            .map_err(|_| FleetError::StatsLayout)?;
-        self.report.epochs_run += 1;
-        Ok(())
+        let epochs = self.remaining_epochs().min(1);
+        self.advance(store, epochs)
     }
 
-    /// Run all remaining epochs **pipelined** and return the final
-    /// report: one pool broadcast covers every remaining shard-epoch,
-    /// and a shard re-enters the ready queue for epoch `e + 1` the
-    /// moment its own epoch `e` lands — workers never idle at a
-    /// global epoch barrier. Completed `(epoch, shard)` statistics
-    /// are buffered and folded epoch-major/shard-minor afterward, so
-    /// the report is bit-identical to running [`Fleet::step`] in a
-    /// loop.
+    /// Run all remaining epochs and return the final report. The report
+    /// is bit-identical to running [`Fleet::step`] in a loop.
     ///
     /// # Errors
     ///
-    /// The earliest `(epoch, shard)` error any worker hit. The fleet
-    /// is left partially advanced and must be discarded — unlike
-    /// [`Fleet::step`], a failed pipelined run does not roll back
-    /// (errors are deterministic, so a retry would fail identically).
+    /// As [`Fleet::step`]: the fleet is left unchanged on error.
     pub fn run(&mut self, store: &PolicyStore) -> Result<&FleetReport, FleetError> {
-        if self.done() {
-            return Ok(&self.report);
+        self.advance(store, self.remaining_epochs())?;
+        Ok(&self.report)
+    }
+
+    fn remaining_epochs(&self) -> u64 {
+        self.config.epochs.saturating_sub(self.report.epochs_run)
+    }
+
+    /// The one epoch engine behind [`Fleet::step`] and [`Fleet::run`]:
+    /// one pool job per shard runs `epochs` epochs of that shard in
+    /// place, then the per-epoch statistics fold epoch-major,
+    /// shard-minor — per epoch, shards merge in shard order into a
+    /// fresh accumulator that then merges into the totals — so the
+    /// `f64` energy total sees the same additions for any split of the
+    /// run into `advance` calls.
+    fn advance(&mut self, store: &PolicyStore, epochs: u64) -> Result<(), FleetError> {
+        if epochs == 0 {
+            return Ok(());
+        }
+        // A missing signature is the only error `run_epoch_into` can
+        // reach; refusing it up front keeps the fleet unchanged.
+        for (sig, _, _) in spec::roster_signatures() {
+            if store.get(&sig).is_none() {
+                return Err(FleetError::UnknownSignature(sig));
+            }
         }
         let config = self.config;
-        let total_epochs = config.epochs;
-        let start_epoch = self.report.epochs_run;
-        let nshards = self.shards.len() as u64;
-        for shard in &self.shards {
-            if shard.next_epoch != start_epoch {
+        // Each job locks only its own slot, so the locks never contend;
+        // they exist to hand a `&mut ShardState` to a `Fn` job.
+        let slots: Vec<Mutex<ShardState>> = self.shards.drain(..).map(Mutex::new).collect();
+        let results = self.pool.ordered_map(slots.len(), |s| {
+            let Some(slot) = slots.get(s) else {
                 return Err(FleetError::BadConfig(
-                    "shard epochs out of alignment; cannot pipeline".into(),
+                    "shard index out of range in fan-out".into(),
                 ));
-            }
-        }
-
-        let slots: Vec<Mutex<Option<ShardState>>> =
-            self.shards.drain(..).map(|s| Mutex::new(Some(s))).collect();
-        let queue = Mutex::new(PipelineQueue {
-            ready: (0..nshards).collect(),
-            remaining: nshards * (total_epochs - start_epoch),
-            abort: false,
+            };
+            let mut state = slot.lock().unwrap_or_else(PoisonError::into_inner);
+            (0..epochs)
+                .map(|_| shard::run_epoch_into(&config, store, &mut state))
+                .collect::<Result<Vec<EpochStats>, FleetError>>()
         });
-        let work_ready = Condvar::new();
-        let results: Mutex<BTreeMap<(u64, u64), EpochStats>> = Mutex::new(BTreeMap::new());
-        let first_error: Mutex<Option<((u64, u64), FleetError)>> = Mutex::new(None);
+        self.shards = slots
+            .into_iter()
+            .map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .collect();
 
-        let fail = |at: (u64, u64), e: FleetError| {
-            let mut slot = lock(&first_error);
-            let replace = match &*slot {
-                None => true,
-                Some((prev_at, _)) => at < *prev_at,
-            };
-            if replace {
-                *slot = Some((at, e));
-            }
-            lock(&queue).abort = true;
-            work_ready.notify_all();
-        };
-
-        self.pool.broadcast(&|_worker| loop {
-            let shard = {
-                let mut q = lock(&queue);
-                loop {
-                    if q.abort || q.remaining == 0 {
-                        return;
-                    }
-                    if let Some(s) = q.ready.pop_front() {
-                        break s;
-                    }
-                    q = wait(&work_ready, q);
-                }
-            };
-            let Some(slot) = slots.get(shard as usize) else {
-                fail((start_epoch, shard), internal_error("shard slot missing"));
-                return;
-            };
-            let Some(mut state) = lock(slot).take() else {
-                fail((start_epoch, shard), internal_error("shard slot empty"));
-                return;
-            };
-            let epoch = state.next_epoch;
-            match shard::run_epoch_into(&config, store, &mut state) {
-                Ok(stats) => {
-                    let more = state.next_epoch < total_epochs;
-                    *lock(slot) = Some(state);
-                    lock(&results).insert((epoch, shard), stats);
-                    let finished = {
-                        let mut q = lock(&queue);
-                        q.remaining = q.remaining.saturating_sub(1);
-                        if more {
-                            q.ready.push_back(shard);
-                        }
-                        q.remaining == 0
-                    };
-                    if finished {
-                        work_ready.notify_all();
-                    } else if more {
-                        work_ready.notify_one();
-                    }
-                }
-                Err(e) => {
-                    *lock(slot) = Some(state);
-                    fail((epoch, shard), e);
-                    return;
-                }
-            }
-        });
-
-        // Reassemble shard states (every worker put its state back
-        // before returning, on both the success and error paths).
-        let mut shards = Vec::with_capacity(slots.len());
-        for slot in slots {
-            match slot
-                .into_inner()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-            {
-                Some(state) => shards.push(state),
-                None => return Err(internal_error("shard state lost in pipeline")),
-            }
+        let mut per_shard = Vec::with_capacity(results.len());
+        for r in results {
+            per_shard.push(r?.into_iter());
         }
-        self.shards = shards;
-
-        if let Some((_, e)) = lock(&first_error).take() {
-            return Err(e);
-        }
-
-        // Fold the buffered statistics exactly as the barriered loop
-        // would: per epoch, merge shards in shard order into a fresh
-        // accumulator, then fold that into the totals — the f64
-        // energy sum sees the identical grouping.
-        let results = results
-            .into_inner()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for epoch in start_epoch..total_epochs {
+        for _ in 0..epochs {
             let mut merged = EpochStats::default();
-            for shard in 0..nshards {
-                let Some(stats) = results.get(&(epoch, shard)) else {
-                    return Err(internal_error("missing shard-epoch result"));
-                };
-                merged.merge(stats).map_err(|_| FleetError::StatsLayout)?;
+            for stats in per_shard.iter_mut().filter_map(Iterator::next) {
+                merged.merge(&stats).map_err(|_| FleetError::StatsLayout)?;
             }
             self.report
                 .totals
@@ -285,7 +179,7 @@ impl Fleet {
                 .map_err(|_| FleetError::StatsLayout)?;
             self.report.epochs_run += 1;
         }
-        Ok(&self.report)
+        Ok(())
     }
 
     /// Encode the whole run — shard states *and* the report so far —
@@ -346,7 +240,7 @@ impl Fleet {
             let state = ShardState::restore_bytes(&config, frame)?;
             // Checkpoints are taken at epoch boundaries: every shard
             // must sit at exactly the fleet's resume epoch, or the
-            // pipelined engine could not schedule it.
+            // epoch-major fold would mix epochs.
             ensure(state.next_epoch == epochs_run)?;
             shards.push(state);
         }
@@ -367,33 +261,6 @@ impl Fleet {
     pub fn shards(&self) -> &[ShardState] {
         &self.shards
     }
-}
-
-/// Scheduling state of the pipelined engine, all under one mutex so
-/// ready-queue pushes, the remaining-work counter and the abort flag
-/// change atomically with respect to waiting workers.
-struct PipelineQueue {
-    ready: VecDeque<u64>,
-    remaining: u64,
-    abort: bool,
-}
-
-/// Lock that ignores poisoning: a panicking worker (itself a bug the
-/// pool propagates) must not cascade into opaque poison panics here.
-fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Condvar wait with the same poison policy as [`lock`].
-fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-    cv.wait(guard)
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// An invariant the pipeline itself maintains was violated — always a
-/// bug in this crate, surfaced as an error instead of a panic.
-fn internal_error(what: &str) -> FleetError {
-    FleetError::BadConfig(format!("internal pipeline invariant broken: {what}"))
 }
 
 fn encode_stats(w: &mut SnapshotWriter, s: &EpochStats) -> Result<(), SnapshotError> {
@@ -452,6 +319,30 @@ mod tests {
             ..FleetConfig::smoke()
         };
         assert!(matches!(Fleet::new(bad), Err(FleetError::BadConfig(_))));
+    }
+
+    #[test]
+    fn a_missing_signature_is_refused_before_any_shard_runs() {
+        let cfg = FleetConfig {
+            devices: 16,
+            shards: 2,
+            epochs: 2,
+            epoch_ms: 2_000,
+            ..FleetConfig::smoke()
+        };
+        let store = PolicyStore::resolve(&cfg, &asgov_soc::DeviceConfig::nexus6());
+        let mut fleet = Fleet::new(cfg).expect("valid config");
+        fleet.step(&store).expect("epoch 0");
+        let before = fleet.shards().to_vec();
+        // Only the last device's signature is missing, so a shard would
+        // advance the devices ahead of it before failing on it.
+        let missing = DeviceSpec::derive(cfg.seed, cfg.devices - 1).signature();
+        match fleet.run(&store.without(&missing)) {
+            Err(FleetError::UnknownSignature(sig)) => assert_eq!(sig, missing),
+            other => panic!("expected UnknownSignature, got {other:?}"),
+        }
+        assert_eq!(fleet.shards(), before.as_slice(), "shard states untouched");
+        assert_eq!(fleet.epochs_run(), 1, "no epoch counted");
     }
 
     #[test]

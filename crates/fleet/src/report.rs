@@ -8,7 +8,8 @@
 //! bit-exactly in any order; the one floating-point total
 //! (`energy_j`) is folded in a fixed (epoch-major, shard-minor)
 //! order, so reports are bit-identical across thread counts and
-//! across the barriered and pipelined execution paths.
+//! across any split of a run into `Fleet::step` and `Fleet::run`
+//! calls.
 
 use crate::spec::{roster_names, FaultClass, FleetConfig};
 use asgov_obs::{FleetStats, LayoutMismatch};

@@ -71,6 +71,16 @@ impl PolicyStore {
     }
 }
 
+#[cfg(test)]
+impl PolicyStore {
+    /// This store with `sig` removed, for error-path tests.
+    pub(crate) fn without(&self, sig: &str) -> Self {
+        let mut policies = self.policies.clone();
+        policies.remove(sig);
+        Self { policies }
+    }
+}
+
 /// Resolve the worker count: `0` means the machine default.
 pub(crate) fn resolve_threads(requested: usize, jobs: usize) -> usize {
     if requested == 0 {

@@ -1,11 +1,12 @@
-//! Differential determinism suite for the fleet (ISSUE/ROADMAP item
-//! 2): the aggregate report must be **bit-identical** across thread
-//! counts, across the barriered (`step`) and pipelined (`run`) epoch
-//! engines, and across a mid-run shard checkpoint + warm restore; and
-//! damaged fleet snapshots must always decode to `SnapshotError` —
-//! never panic.
+//! Differential determinism suite for the fleet: the aggregate report
+//! must be **bit-identical** across thread counts, between a loop of
+//! one-epoch `step` calls and one `run` over all epochs (both go
+//! through the same per-shard job engine), and across a mid-run shard
+//! checkpoint + warm restore; a store missing a signature must be
+//! refused with the fleet left unchanged; and damaged fleet snapshots
+//! must always decode to `SnapshotError` — never panic.
 
-use asgov_fleet::{savings_agg, Fleet, FleetConfig, PolicyStore};
+use asgov_fleet::{savings_agg, Fleet, FleetConfig, FleetError, PolicyStore};
 use asgov_obs::FleetStats;
 use asgov_soc::DeviceConfig;
 use asgov_util::Rng;
@@ -63,16 +64,16 @@ fn report_is_bit_identical_across_thread_counts() {
 #[test]
 fn pipelined_run_is_bit_identical_to_the_barriered_step_loop() {
     let store = store();
-    // Barriered reference: `step` holds a global epoch barrier and is
-    // the engine the checkpoint codec is defined against.
+    // Reference: one-epoch `step` calls, the unit the checkpoint codec
+    // is defined against.
     let mut barriered = Fleet::new(small_cfg(1)).expect("valid config");
     while !barriered.done() {
         barriered.step(&store).expect("barriered epoch");
     }
     let reference = barriered.report().to_json().to_pretty();
-    // Pipelined engine at several worker counts: shards cross epoch
-    // boundaries independently, yet the folded report must match the
-    // barriered one bit for bit.
+    // One `run` at several worker counts: each shard runs all of its
+    // epochs in one job, yet the folded report must match the
+    // epoch-at-a-time one bit for bit.
     for threads in [1, 2, 4, 8] {
         let mut pipelined = Fleet::new(small_cfg(threads)).expect("valid config");
         pipelined.run(&store).expect("pipelined run");
@@ -119,7 +120,7 @@ fn fleet_stats_merge_is_associative_over_random_partitions() {
     // at random, then fold them left-to-right and as a pairwise tree:
     // the columnar state must come out bit-identical (the fixed-point
     // moments make merge exactly associative), which is what lets the
-    // pipelined engine buffer and fold shard stats in any grouping.
+    // fleet fold shard stats in any grouping.
     let mut rng = Rng::seed_from_u64(0xa55e7);
     for trial in 0..25 {
         let parts_n = 2 + rng.gen_range_usize(0..7);
@@ -223,4 +224,35 @@ fn damaged_fleet_snapshots_error_and_never_panic() {
             "bit flip at byte {byte} bit {bit} must be rejected"
         );
     }
+}
+
+#[test]
+fn unknown_signature_leaves_the_fleet_unchanged() {
+    let store = store();
+    let mut fleet = Fleet::new(small_cfg(2)).expect("valid config");
+    fleet.step(&store).expect("epoch 0");
+    let shards = fleet.shards().to_vec();
+    let epochs_run = fleet.epochs_run();
+
+    // An empty store lacks every signature: both entry points must
+    // refuse it before any shard runs.
+    let empty = PolicyStore::default();
+    assert!(matches!(
+        fleet.step(&empty),
+        Err(FleetError::UnknownSignature(_))
+    ));
+    assert!(matches!(
+        fleet.run(&empty),
+        Err(FleetError::UnknownSignature(_))
+    ));
+    assert_eq!(fleet.shards(), shards.as_slice(), "shard states untouched");
+    assert_eq!(fleet.epochs_run(), epochs_run, "no epoch counted");
+
+    // The refused calls left nothing behind: the same fleet finishes
+    // with the straight run's report.
+    fleet.run(&store).expect("resolved store runs");
+    assert_eq!(
+        fleet.report().to_json().to_pretty(),
+        final_report_json(&store, 2)
+    );
 }

@@ -28,6 +28,10 @@
 //! for *any* combination of workloads, policies and fault plans, by
 //! construction:
 //!
+//! - both cores step the same device model: [`Device::tick`] is
+//!   [`Device::tick_span`] with a 1 ms span, so the only difference
+//!   between them is span length, and the check reduces to "`n` spans
+//!   of 1 ms equal one span of `n` ms";
 //! - a source that keeps the default hook forces 1 ms spans, i.e. the
 //!   tick core's exact call sequence;
 //! - a source that advertises a longer horizon contracts that it is a
@@ -42,7 +46,8 @@
 //!   untouched.
 //!
 //! The differential suites (`event.rs` unit tests, `tests/event_core.rs`
-//! at the workspace root) assert `RunReport` equality — energy bits,
+//! at the workspace root, and the twin-device span property in
+//! `crates/soc/tests/properties.rs`) assert equality — energy bits,
 //! instruction bits, histograms, health — across apps, governors, the
 //! hardened controller, fault plans and seeds.
 

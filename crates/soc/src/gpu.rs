@@ -122,36 +122,13 @@ impl Gpu {
         self.time_in_freq_ms.iter_mut().for_each(|c| *c = 0);
     }
 
-    /// Execute one tick: `gpu_work` is the render work demanded this
-    /// tick, expressed in GHz-equivalents of GPU time (0 = GPU idle).
-    /// Returns `(throughput_fraction, power_w)` where the fraction is
-    /// 1.0 when the GPU keeps up and < 1.0 when it is the bottleneck.
-    pub fn tick(&mut self, gpu_work: f64) -> (f64, f64) {
-        let f = self.freq_ghz(self.cur);
-        let v = self.voltage(self.cur);
-        let util = if gpu_work <= 0.0 {
-            0.0
-        } else {
-            (gpu_work / f).min(1.0)
-        };
-        let fraction = if gpu_work <= f || gpu_work <= 0.0 {
-            1.0
-        } else {
-            f / gpu_work
-        };
-        self.busy_ms += util;
-        if let Some(t) = self.time_in_freq_ms.get_mut(self.cur.0) {
-            *t += 1;
-        }
-        let power = self.leak_w_per_v * v + self.dyn_w_per_v2ghz * v * v * f * util;
-        (fraction, power)
-    }
-
-    /// Execute `span_ms` consecutive ticks under constant `gpu_work` in
-    /// one call — bit-identical to calling [`Gpu::tick`] `span_ms`
-    /// times: the busy accumulator receives the exact same sequence of
-    /// per-millisecond additions, and the (time-invariant) fraction and
-    /// power of the first tick are returned.
+    /// Execute `span_ms` consecutive 1 ms ticks under constant
+    /// `gpu_work` — the render work demanded per tick, in GHz-equivalents
+    /// of GPU time (0 = GPU idle). Returns `(throughput_fraction,
+    /// power_w)`, both constant over the span: the fraction is 1.0 when
+    /// the GPU keeps up and < 1.0 when it is the bottleneck. The busy
+    /// accumulator receives one addition per millisecond, so a span of
+    /// `n` equals `n` spans of 1 bit for bit.
     pub(crate) fn tick_span(&mut self, gpu_work: f64, span_ms: u64) -> (f64, f64) {
         let f = self.freq_ghz(self.cur);
         let v = self.voltage(self.cur);
@@ -200,7 +177,7 @@ mod tests {
     fn keeps_up_when_fast_enough() {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(4)); // 600 MHz
-        let (fraction, power) = g.tick(0.3);
+        let (fraction, power) = g.tick_span(0.3, 1);
         assert_eq!(fraction, 1.0);
         assert!(power > 0.1, "busy GPU draws real power, got {power}");
     }
@@ -209,7 +186,7 @@ mod tests {
     fn bottlenecks_when_too_slow() {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(0)); // 200 MHz
-        let (fraction, _) = g.tick(0.4);
+        let (fraction, _) = g.tick_span(0.4, 1);
         assert!((fraction - 0.5).abs() < 1e-12, "200 MHz vs 0.4 GHz work");
     }
 
@@ -217,7 +194,7 @@ mod tests {
     fn idle_gpu_draws_only_leakage() {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(4));
-        let (fraction, power) = g.tick(0.0);
+        let (fraction, power) = g.tick_span(0.0, 1);
         assert_eq!(fraction, 1.0);
         assert!(power < 0.06, "idle GPU draws ~leakage, got {power}");
     }
@@ -238,7 +215,7 @@ mod tests {
         let mut g = Gpu::adreno420();
         g.set_freq(GpuFreqIndex(2));
         for _ in 0..10 {
-            g.tick(0.21); // half utilization at 0.42 GHz
+            g.tick_span(0.21, 1); // half utilization at 0.42 GHz
         }
         assert_eq!(g.time_in_freq_ms()[2], 10);
         assert!((g.busy_ms() - 5.0).abs() < 1e-9);

@@ -88,27 +88,12 @@ impl Radio {
         self.serviced_packets
     }
 
-    /// Service one tick of traffic demanding `offered_pps` packets per
-    /// second. Returns `(fraction, power_w)`: the fraction of offered
-    /// packets serviced this tick (1.0 when the setting suffices) and
-    /// the radio power.
-    pub fn tick(&mut self, offered_pps: f64) -> (f64, f64) {
-        let cap = self.rate_pps(self.cur);
-        let serviced = offered_pps.min(cap);
-        let fraction = if offered_pps <= 0.0 {
-            1.0
-        } else {
-            serviced / offered_pps
-        };
-        self.serviced_packets += serviced * 1e-3; // per 1 ms tick
-        let power = self.poll_w_per_pps * cap + self.energy_per_packet_j * serviced;
-        (fraction, power)
-    }
-
-    /// Service `span_ms` consecutive ticks of constant `offered_pps` in
-    /// one call — bit-identical to calling [`Radio::tick`] `span_ms`
-    /// times (the serviced-packet accumulator receives the same
-    /// per-millisecond additions).
+    /// Service `span_ms` consecutive 1 ms ticks of traffic offering a
+    /// constant `offered_pps` packets per second. Returns `(fraction,
+    /// power_w)`, both constant over the span: the fraction of offered
+    /// packets serviced (1.0 when the setting suffices) and the radio
+    /// power. The serviced-packet accumulator receives one addition per
+    /// millisecond, so a span of `n` equals `n` spans of 1 bit for bit.
     pub(crate) fn tick_span(&mut self, offered_pps: f64, span_ms: u64) -> (f64, f64) {
         let cap = self.rate_pps(self.cur);
         let serviced = offered_pps.min(cap);
@@ -147,9 +132,9 @@ mod tests {
     fn services_within_the_setting() {
         let mut r = Radio::wifi();
         r.set_rate(NetRateIndex(0)); // 100 pps
-        let (fraction, _) = r.tick(50.0);
+        let (fraction, _) = r.tick_span(50.0, 1);
         assert_eq!(fraction, 1.0);
-        let (fraction, _) = r.tick(400.0);
+        let (fraction, _) = r.tick_span(400.0, 1);
         assert!((fraction - 0.25).abs() < 1e-12, "100 of 400 pps serviced");
     }
 
@@ -159,8 +144,8 @@ mod tests {
         lo.set_rate(NetRateIndex(0));
         let mut hi = Radio::wifi();
         hi.set_rate(NetRateIndex(4));
-        let (_, p_lo) = lo.tick(50.0);
-        let (_, p_hi) = hi.tick(50.0);
+        let (_, p_lo) = lo.tick_span(50.0, 1);
+        let (_, p_hi) = hi.tick_span(50.0, 1);
         assert!(
             p_hi > p_lo + 0.1,
             "idle poll power dominates at high settings: {p_lo} vs {p_hi}"
@@ -180,7 +165,7 @@ mod tests {
         let mut r = Radio::wifi();
         r.set_rate(NetRateIndex(2));
         for _ in 0..1000 {
-            r.tick(800.0);
+            r.tick_span(800.0, 1);
         }
         assert!((r.serviced_packets() - 800.0).abs() < 1e-6);
     }

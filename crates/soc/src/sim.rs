@@ -72,6 +72,10 @@ impl RunReport {
 /// Device statistics are reset at the start of the run, so the returned
 /// report covers exactly this run. Policies receive `start`, one `tick`
 /// per millisecond (after the device tick) and `finish`.
+///
+/// This is the 1 ms reference loop the event core
+/// ([`crate::event::run`]) is checked against. Both step the same
+/// device model: [`Device::tick`] is a 1 ms [`Device::tick_span`].
 pub fn run(
     device: &mut Device,
     workload: &mut dyn Workload,

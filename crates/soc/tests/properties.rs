@@ -5,7 +5,9 @@
 //! Randomized inputs come from a seeded [`asgov_util::Rng`] so every
 //! run exercises the same cases (the hermetic stand-in for proptest).
 
-use asgov_soc::{sysfs, BwIndex, Demand, Device, DeviceConfig, FreqIndex};
+use asgov_soc::{
+    sysfs, BackgroundDemand, BwIndex, Demand, Device, DeviceConfig, FreqIndex, GpuFreqIndex,
+};
 use asgov_util::Rng;
 
 fn quiet() -> DeviceConfig {
@@ -227,6 +229,107 @@ fn pmu_monotone() {
             let now = dev.pmu().instructions();
             assert!(now >= last, "case {case}");
             last = now;
+        }
+    }
+}
+
+/// One `n` ms span equals `n` ticks of 1 ms, bit for bit: twin devices
+/// (same seed, so the monitor's noise stream is shared) receive the
+/// same random demand — touch, GPU, network and background load
+/// included — right after a DVFS change, so the transition surcharge
+/// is pending when the step starts.
+#[test]
+fn span_step_equals_repeated_ticks() {
+    let bits = |x: f64| x.to_bits();
+    let mut rng = Rng::seed_from_u64(0x50_0008);
+    for case in 0..64 {
+        let cfg = DeviceConfig::nexus6().with_seed(rng.next_u64());
+        let mut span = Device::new(cfg.clone());
+        let mut ticks = Device::new(cfg);
+        for dev in [&mut span, &mut ticks] {
+            dev.set_cpu_governor("userspace");
+            dev.set_bw_governor("userspace");
+        }
+        for step in 0..6 {
+            let demand = Demand {
+                gips_cap: rng.gen_bool(0.3).then(|| rng.gen_range(0.1..2.0)),
+                cap_busy: rng.gen_bool(0.5),
+                extra_power_w: rng.gen_range(0.0..0.3),
+                gpu_work: rng.gen_range(0.0..0.8),
+                net_pps: rng.gen_range(0.0..3_000.0),
+                touch: rng.gen_bool(0.5),
+                bg: BackgroundDemand {
+                    cpu_util: rng.gen_range(0.0..0.6),
+                    traffic_mbps: rng.gen_range(0.0..400.0),
+                    power_w: rng.gen_range(0.0..0.1),
+                },
+                ..random_demand(&mut rng)
+            };
+            let n = 1 + rng.gen_range_usize(0..64) as u64;
+            let f = FreqIndex(rng.gen_range_usize(0..18));
+            let b = BwIndex(rng.gen_range_usize(0..13));
+            let g = GpuFreqIndex(rng.gen_range_usize(0..5));
+            for dev in [&mut span, &mut ticks] {
+                dev.set_cpu_freq(f);
+                dev.set_mem_bw(b);
+                dev.set_gpu_freq(g);
+            }
+
+            let out_span = span.tick_span(&demand, n);
+            let out_first = ticks.tick(&demand);
+            for _ in 1..n {
+                ticks.tick(&demand);
+            }
+            let ctx = format!("case {case} step {step} n {n}");
+            assert_eq!(out_span, out_first, "{ctx}: first-ms outcome");
+            assert_eq!(span.now_ms(), ticks.now_ms(), "{ctx}");
+            assert_eq!(span.last_touch_ms(), ticks.last_touch_ms(), "{ctx}");
+
+            let (a, t) = (span.stats(), ticks.stats());
+            assert_eq!(bits(a.energy_j), bits(t.energy_j), "{ctx}: energy");
+            assert_eq!(bits(a.avg_power_w), bits(t.avg_power_w), "{ctx}");
+            assert_eq!(bits(a.instructions), bits(t.instructions), "{ctx}");
+            assert_eq!(bits(a.avg_gips), bits(t.avg_gips), "{ctx}");
+            assert_eq!(a.time_in_freq_ms, t.time_in_freq_ms, "{ctx}");
+            assert_eq!(a.time_in_bw_ms, t.time_in_bw_ms, "{ctx}");
+            assert_eq!(a.freq_transitions, t.freq_transitions, "{ctx}");
+            assert_eq!(a.bw_transitions, t.bw_transitions, "{ctx}");
+            let (pa, pt) = (span.pmu(), ticks.pmu());
+            assert_eq!(bits(pa.instructions()), bits(pt.instructions()), "{ctx}");
+            assert_eq!(bits(pa.cycles()), bits(pt.cycles()), "{ctx}: PMU");
+            assert_eq!(bits(pa.bus_bytes()), bits(pt.bus_bytes()), "{ctx}");
+            assert_eq!(bits(span.busy_ms()), bits(ticks.busy_ms()), "{ctx}");
+            assert_eq!(
+                bits(span.busy_core_ms()),
+                bits(ticks.busy_core_ms()),
+                "{ctx}"
+            );
+            assert_eq!(bits(span.bg_util_ms()), bits(ticks.bg_util_ms()), "{ctx}");
+            assert_eq!(
+                bits(span.bg_traffic_mb()),
+                bits(ticks.bg_traffic_mb()),
+                "{ctx}"
+            );
+            assert_eq!(
+                bits(span.battery().drained_j()),
+                bits(ticks.battery().drained_j()),
+                "{ctx}: battery"
+            );
+            assert_eq!(
+                bits(span.gpu().busy_ms()),
+                bits(ticks.gpu().busy_ms()),
+                "{ctx}: GPU"
+            );
+            assert_eq!(
+                span.gpu().time_in_freq_ms(),
+                ticks.gpu().time_in_freq_ms(),
+                "{ctx}"
+            );
+            assert_eq!(
+                bits(span.radio().serviced_packets()),
+                bits(ticks.radio().serviced_packets()),
+                "{ctx}: radio"
+            );
         }
     }
 }

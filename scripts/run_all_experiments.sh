@@ -45,7 +45,7 @@ if [ "$QUICK" = "--quick" ]; then
   cargo run --release -p asgov-experiments --bin fleet -- --smoke \
     > "results/fleet.txt" 2>&1
   # Perf regression gate: the 10^3 smoke tier runs through the
-  # pipelined pool path and must stay within 30% of the committed
+  # per-shard pool jobs and must stay within 30% of the committed
   # baseline throughput.
   NEW_DPS="$(smoke_dps)"
   if [ -n "$BASELINE_DPS" ] && [ -n "$NEW_DPS" ]; then
