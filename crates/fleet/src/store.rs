@@ -4,7 +4,7 @@
 //! of re-profiling per device (10⁵ devices, 18 signatures).
 
 use crate::spec::{build_app, roster_signatures, FleetConfig};
-use asgov_profiler::{measure_default, profile_app_serial, ProfileOptions, ProfileTable};
+use asgov_profiler::{measure_default, profile_app_threads, ProfileOptions, ProfileTable};
 use asgov_soc::DeviceConfig;
 use asgov_util::par::ordered_map;
 use asgov_workloads::{BackgroundLoad, LoadLevel};
@@ -134,12 +134,13 @@ fn resolve_one(
     };
     let deadline_based = matches!(app.spec().kind, asgov_workloads::AppKind::Batch { .. });
     // Serial per-signature profiling: the signature fan-out above is
-    // already parallel, and `profile_app_serial` is bit-identical to
-    // the threaded sweep by the `ordered_map` contract.
-    let profile = profile_app_serial(
+    // already parallel, and one sweep thread is bit-identical to the
+    // threaded sweep by the `ordered_map` contract.
+    let profile = profile_app_threads(
         &dev_cfg.clone().with_seed(cfg.seed),
         &mut app,
         &profile_options(),
+        1,
     );
     let baseline = measure_default(
         &dev_cfg.clone().with_seed(cfg.seed),

@@ -9,7 +9,7 @@
 use asgov_fleet::{savings_agg, Fleet, FleetConfig, FleetError, PolicyStore};
 use asgov_obs::FleetStats;
 use asgov_soc::DeviceConfig;
-use asgov_util::Rng;
+use asgov_util::{Json, Rng};
 
 fn small_cfg(threads: usize) -> FleetConfig {
     FleetConfig {
@@ -59,6 +59,32 @@ fn report_is_bit_identical_across_thread_counts() {
         fleet.report().totals.warm_migrations > 0,
         "controller state migrated across epochs"
     );
+}
+
+#[test]
+fn reported_quantiles_lie_within_min_and_max() {
+    let store = store();
+    let mut fleet = Fleet::new(small_cfg(0)).expect("valid config");
+    let report = fleet.run(&store).expect("run completes").to_json();
+    let mut checked = 0;
+    for group in ["savings_per_app", "savings_per_fault"] {
+        let Some(Json::Obj(streams)) = report.get(group) else {
+            panic!("report lacks {group}");
+        };
+        for (name, s) in streams {
+            let field = |key: &str| s.get(key).and_then(Json::as_f64).expect(key);
+            let (min, max) = (field("min_pct"), field("max_pct"));
+            for key in ["p50_pct", "p95_pct", "p99_pct"] {
+                let q = field(key);
+                assert!(
+                    (min..=max).contains(&q),
+                    "{group}.{name}.{key} = {q} outside [{min}, {max}]"
+                );
+                checked += 1;
+            }
+        }
+    }
+    assert!(checked > 0, "the report has savings streams");
 }
 
 #[test]

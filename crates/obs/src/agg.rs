@@ -268,21 +268,33 @@ impl FleetStats {
         m.is_finite().then_some(m)
     }
 
-    /// Upper bound of the bucket containing quantile `q` of `stream`'s
-    /// samples (bucket-exact; excluded samples sit in overflow).
+    /// Quantile `q` of `stream`'s included samples: the upper bound of
+    /// the bucket holding rank `⌈q·n⌉` of the `n` included samples,
+    /// clamped to the stream's `[min, max]`. Excluded samples sit in
+    /// the overflow bucket but take no rank. `None` when no sample was
+    /// included.
     pub fn quantile(&self, stream: usize, q: f64) -> Option<f64> {
-        let total = self.count(stream);
-        if total == 0 {
+        let included = self.included(stream);
+        if included == 0 {
             return None;
         }
-        let row = self.bounds.len() + 1;
+        let (min, max) = (self.min(stream)?, self.max(stream)?);
+        let overflow = self.bounds.len();
+        let row = overflow + 1;
         let counts = self.hist.get(stream * row..(stream + 1) * row)?;
-        let rank = (q.clamp(0.0, 1.0) * total as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, c) in counts.iter().enumerate() {
-            seen += c;
+        let excluded = self.excluded(stream);
+        let rank = (q.clamp(0.0, 1.0) * included as f64).ceil().max(1.0) as u64;
+        let mut seen: u64 = 0;
+        for (i, &c) in counts.iter().enumerate() {
+            let c = if i == overflow {
+                c.saturating_sub(excluded)
+            } else {
+                c
+            };
+            seen = seen.saturating_add(c);
             if seen >= rank {
-                return Some(self.bounds.get(i).copied().unwrap_or(f64::INFINITY));
+                let edge = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+                return Some(edge.max(min).min(max));
             }
         }
         None
@@ -571,8 +583,36 @@ mod tests {
             s.record(0, 80.0); // ≤ 100 bucket
         }
         assert_eq!(s.quantile(0, 0.5), Some(0.1));
-        assert_eq!(s.quantile(0, 0.95), Some(100.0));
+        // The ≤ 100 bucket's edge, clamped to the stream's max.
+        assert_eq!(s.quantile(0, 0.95), Some(80.0));
         let total: u64 = s.buckets(0).map(|(_, c)| c).sum();
         assert_eq!(total, 100);
+    }
+
+    #[test]
+    fn quantiles_skip_excluded_samples_and_stay_within_min_max() {
+        // All included values sit below the top bound and excluded
+        // samples fill the overflow bucket; ranked, they would read as
+        // infinite savings at p95/p99.
+        let mut s = FleetStats::savings_pct(1);
+        for v in [3.0, 4.5, 7.25, 12.0, 41.0, 57.3] {
+            s.record(0, v);
+        }
+        for _ in 0..4 {
+            s.record_excluded(0);
+        }
+        let (min, max) = (s.min(0), s.max(0));
+        assert_eq!((min, max), (Some(3.0), Some(57.3)));
+        for q in [0.5, 0.95, 0.99] {
+            let v = s.quantile(0, q).expect("included samples exist");
+            assert!((3.0..=57.3).contains(&v), "q{q} = {v} outside [min, max]");
+        }
+        // Ranks count included samples only: the median of six is the
+        // third (7.25, in the ≤ 10 bucket).
+        assert_eq!(s.quantile(0, 0.5), Some(10.0));
+
+        let mut none = FleetStats::savings_pct(1);
+        none.record_excluded(0);
+        assert_eq!(none.quantile(0, 0.5), None, "no included sample");
     }
 }

@@ -1,11 +1,103 @@
-//! Measuring the default-governor baseline (`R_def`, `P_def`, `T_def`,
+//! Measurement runs: the one pinned-run primitive behind every Stage-1
+//! path, the default-governor baseline (`R_def`, `P_def`, `T_def`,
 //! `E_def` — paper §III-A) and arbitrary fixed-configuration runs.
 
 use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
 use asgov_soc::sim::RunReport;
 use asgov_soc::Workload as _;
-use asgov_soc::{sim, Device, DeviceConfig, Policy};
+use asgov_soc::{sim, BwIndex, Device, DeviceConfig, FreqIndex, GpuFreqIndex, Policy};
 use asgov_workloads::PhasedApp;
+
+/// How a measurement run sets up its device: the seed salt, whether
+/// the `perf` tool's overhead is on, and the pinned axes. A pinned axis
+/// runs under the `userspace` governor at its index; an unpinned one
+/// (`None`) keeps its stock governor (`interactive`, `cpubw_hwmon`,
+/// `msm-adreno-tz`).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct RunSetup {
+    pub(crate) salt: u64,
+    pub(crate) perf: bool,
+    pub(crate) cpu: Option<FreqIndex>,
+    pub(crate) bw: Option<BwIndex>,
+    pub(crate) gpu: Option<GpuFreqIndex>,
+}
+
+/// One measurement run from start to finish, the only place Stage 1
+/// builds a device and simulates: seed the device `dev_cfg.seed ^
+/// setup.salt`, apply the `perf` overhead if asked, pin the axes, reset
+/// the app and run it for at most `max_ms`.
+///
+/// `policies` replaces the policy stack; `None` runs the stock governor
+/// of every unpinned axis, in CPU, bandwidth, GPU order. The device
+/// comes back with the report so callers can read its PMU.
+pub(crate) fn measure_run(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    setup: RunSetup,
+    policies: Option<Vec<Box<dyn Policy>>>,
+    max_ms: u64,
+) -> (RunReport, Device) {
+    let mut device = Device::new(dev_cfg.clone().with_seed(dev_cfg.seed ^ setup.salt));
+    if setup.perf {
+        // The paper measures performance with `perf` at a 1 s period in
+        // every run — profiling included — so its 4 % load and 15 mW
+        // power overhead are present here just as they are online.
+        device.set_tool_overhead(0.04, 0.015);
+    }
+    if let Some(freq) = setup.cpu {
+        device.set_cpu_governor("userspace");
+        device.set_cpu_freq(freq);
+    }
+    if let Some(bw) = setup.bw {
+        device.set_bw_governor("userspace");
+        device.set_mem_bw(bw);
+    }
+    if let Some(gpu) = setup.gpu {
+        device.set_gpu_governor("userspace");
+        device.set_gpu_freq(gpu);
+    }
+    let mut policies = policies.unwrap_or_else(|| {
+        let mut stock: Vec<Box<dyn Policy>> = Vec::with_capacity(3);
+        if setup.cpu.is_none() {
+            stock.push(Box::new(Interactive::default()));
+        }
+        if setup.bw.is_none() {
+            stock.push(Box::new(CpubwHwmon::default()));
+        }
+        if setup.gpu.is_none() {
+            stock.push(Box::new(AdrenoTz::default()));
+        }
+        stock
+    });
+    let mut refs: Vec<&mut dyn Policy> =
+        policies.iter_mut().map(|p| p as &mut dyn Policy).collect();
+    app.reset();
+    let report = sim::run(&mut device, app, &mut refs, max_ms);
+    (report, device)
+}
+
+/// `runs` runs of `setup`, run `i` seeded with salt `setup.salt + i`,
+/// averaged. `policies` is called once per run (see [`measure_run`]).
+pub(crate) fn measure_runs(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    runs: usize,
+    setup: RunSetup,
+    mut policies: impl FnMut() -> Option<Vec<Box<dyn Policy>>>,
+    max_ms: u64,
+) -> DefaultMeasurement {
+    assert!(runs > 0, "need at least one run");
+    let reports = (0..runs as u64)
+        .map(|run| {
+            let setup = RunSetup {
+                salt: setup.salt + run,
+                ..setup
+            };
+            measure_run(dev_cfg, app, setup, policies(), max_ms).0
+        })
+        .collect();
+    DefaultMeasurement::from_reports(reports)
+}
 
 /// Aggregate of one or more baseline runs.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,25 +137,14 @@ pub fn measure_default(
     runs: usize,
     max_ms: u64,
 ) -> DefaultMeasurement {
-    assert!(runs > 0, "need at least one run");
-    let mut reports = Vec::with_capacity(runs);
-    for run in 0..runs {
-        let mut device = Device::new(
-            dev_cfg
-                .clone()
-                .with_seed(dev_cfg.seed ^ (0xd0 + run as u64)),
-        );
-        // `perf` runs during the default measurement too (paper §III-A
-        // measures R_def with the same tooling as the online controller).
-        device.set_tool_overhead(0.04, 0.015);
-        let mut cpu = Interactive::default();
-        let mut bw = CpubwHwmon::default();
-        let mut gpu = AdrenoTz::default();
-        app.reset();
-        let report = sim::run(&mut device, app, &mut [&mut cpu, &mut bw, &mut gpu], max_ms);
-        reports.push(report);
-    }
-    DefaultMeasurement::from_reports(reports)
+    // `perf` runs during the default measurement too (paper §III-A
+    // measures R_def with the same tooling as the online controller).
+    let setup = RunSetup {
+        salt: 0xd0,
+        perf: true,
+        ..RunSetup::default()
+    };
+    measure_runs(dev_cfg, app, runs, setup, || None, max_ms)
 }
 
 /// Run the application under an arbitrary policy stack (e.g. the online
@@ -79,22 +160,11 @@ pub fn measure_fixed<F>(
 where
     F: FnMut() -> Vec<Box<dyn Policy>>,
 {
-    assert!(runs > 0, "need at least one run");
-    let mut reports = Vec::with_capacity(runs);
-    for run in 0..runs {
-        let mut device = Device::new(
-            dev_cfg
-                .clone()
-                .with_seed(dev_cfg.seed ^ (0xf0 + run as u64)),
-        );
-        let mut policies = make_policies();
-        let mut refs: Vec<&mut dyn Policy> =
-            policies.iter_mut().map(|p| p as &mut dyn Policy).collect();
-        app.reset();
-        let report = sim::run(&mut device, app, &mut refs, max_ms);
-        reports.push(report);
-    }
-    DefaultMeasurement::from_reports(reports)
+    let setup = RunSetup {
+        salt: 0xf0,
+        ..RunSetup::default()
+    };
+    measure_runs(dev_cfg, app, runs, setup, || Some(make_policies()), max_ms)
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ mod table;
 pub use default_run::{measure_default, measure_fixed, DefaultMeasurement};
 pub use load_model::{LoadModel, LoadModelError, LoadSignature};
 pub use profile::{
-    fit_mar_cse, profile_app, profile_app_cpu_only, profile_app_serial, profile_app_threads,
-    profile_app_with_gpu, ProfileOptions,
+    fit_mar_cse, profile_app, profile_app_cpu_only, profile_app_threads, profile_app_with_gpu,
+    ProfileOptions,
 };
 pub use table::{Config, ProfileEntry, ProfileTable, TableParseError};

@@ -1,9 +1,9 @@
 //! The offline profiling procedure (paper §III-A).
 
+use crate::default_run::{measure_run, measure_runs, RunSetup};
 use crate::table::{Config, ProfileEntry, ProfileTable};
-use asgov_governors::{AdrenoTz, CpubwHwmon};
-use asgov_soc::Workload;
-use asgov_soc::{sim, Device, DeviceConfig, FreqIndex, GpuFreqIndex, Policy};
+use asgov_soc::gpu::ADRENO420_FREQS_GHZ;
+use asgov_soc::{BwIndex, DeviceConfig, FreqIndex, GpuFreqIndex};
 use asgov_util::par;
 use asgov_workloads::PhasedApp;
 
@@ -30,10 +30,10 @@ pub struct ProfileOptions {
     /// Profile every `freq_stride`-th frequency (paper: alternate
     /// frequencies → 2).
     pub freq_stride: usize,
-    /// Fill the intermediate bandwidths of each profiled frequency by
-    /// linear interpolation between the lowest and highest bandwidth
-    /// (paper behaviour). When `false` the table keeps only measured
-    /// points.
+    /// Fill the intermediate bandwidths (and GPU frequencies) of each
+    /// profiled frequency by linear interpolation between the measured
+    /// ends (paper behaviour). When `false` the table keeps only
+    /// measured points.
     pub interpolate: bool,
 }
 
@@ -48,39 +48,6 @@ impl Default for ProfileOptions {
     }
 }
 
-/// Measure GIPS and power at one pinned configuration, averaged over
-/// `runs` fresh runs.
-fn measure_config(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    config: Config,
-    runs: usize,
-    run_ms: u64,
-) -> (f64, f64) {
-    let mut gips_sum = 0.0;
-    let mut power_sum = 0.0;
-    for run in 0..runs {
-        let mut device = Device::new(dev_cfg.clone().with_seed(dev_cfg.seed ^ (run as u64 + 1)));
-        // The paper measures performance with `perf` at a 1 s period in
-        // every run — profiling included — so its 4 % load and 15 mW
-        // power overhead are present here just as they are online.
-        device.set_tool_overhead(0.04, 0.015);
-        device.set_cpu_governor("userspace");
-        device.set_bw_governor("userspace");
-        device.set_cpu_freq(config.freq);
-        device.set_mem_bw(config.bw);
-        // The GPU stays under its stock governor throughout (the paper
-        // does not include it in the controlled configuration).
-        let mut gpu_gov = AdrenoTz::default();
-        let mut policies: [&mut dyn Policy; 1] = [&mut gpu_gov];
-        app.reset();
-        let report = sim::run(&mut device, app, &mut policies, run_ms);
-        gips_sum += report.avg_gips;
-        power_sum += report.avg_power_w;
-    }
-    (gips_sum / runs as f64, power_sum / runs as f64)
-}
-
 /// Profile an application offline (paper §III-A): measure its base
 /// speed at the SoC's lowest configuration, then speedup and power for
 /// every `freq_stride`-th frequency inside the application's usable
@@ -92,8 +59,8 @@ fn measure_config(
 ///
 /// The per-frequency measurements are independent simulations whose
 /// seeds derive only from `(dev_cfg.seed, run)`, so the sweep fans out
-/// across `std::thread::scope` workers; results are bit-identical to
-/// the serial sweep ([`profile_app_serial`]) for any thread count.
+/// across workers; results are bit-identical for any thread count
+/// (see [`profile_app_threads`]).
 ///
 /// # Panics
 ///
@@ -106,20 +73,10 @@ pub fn profile_app(
     profile_app_threads(dev_cfg, app, opts, 0)
 }
 
-/// [`profile_app`] with the sweep forced onto a single thread (no
-/// workers are spawned at all). Exists so the parallel sweep can be
-/// differentially tested against it; produces byte-identical tables.
-pub fn profile_app_serial(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    opts: &ProfileOptions,
-) -> ProfileTable {
-    profile_app_threads(dev_cfg, app, opts, 1)
-}
-
 /// [`profile_app`] with an explicit worker count (`0` = auto: the
 /// machine's available parallelism, clamped to the number of profiled
-/// frequencies).
+/// frequencies; `1` runs the sweep on the calling thread, for callers
+/// that already fan out).
 ///
 /// # Panics
 ///
@@ -130,157 +87,14 @@ pub fn profile_app_threads(
     opts: &ProfileOptions,
     threads: usize,
 ) -> ProfileTable {
-    assert!(opts.runs_per_config > 0, "need at least one run");
-    assert!(opts.freq_stride > 0, "stride must be positive");
-
-    let table = dev_cfg.table.clone();
-    let (lo_f, hi_f) = app.spec().profile_freq_range;
-    let hi_f = hi_f.min(table.num_freqs() - 1);
-    let bw_lo = table.min_bw();
-    let bw_hi = table.max_bw();
-
-    // Base speed: the lowest configuration of the SoC, regardless of the
-    // app's usable profile range (it anchors the speedup scale).
-    let base_cfg = Config {
-        freq: table.min_freq(),
-        bw: table.min_bw(),
-        gpu: None,
-    };
-    let (base_gips, base_power) =
-        measure_config(dev_cfg, app, base_cfg, opts.runs_per_config, opts.run_ms);
-    let base_gips = base_gips.max(1e-6);
-
-    // Fan the per-frequency measurements out across workers. Each job
-    // owns a fresh clone of the app (reset before every run anyway) and
-    // every simulation seed derives from (dev_cfg.seed, run), never
-    // from the worker, so the table below is independent of `threads`.
-    let freqs = freq_ladder(lo_f, hi_f, opts.freq_stride);
-    let threads = if threads == 0 {
-        par::default_threads(freqs.len())
-    } else {
-        threads
-    };
-    let app_ref: &PhasedApp = app;
-    let sweep = par::ordered_map(freqs.len(), threads, |i| {
-        // asgov-analyze: allow(hot-path-transitive): ordered_map hands the closure indices drawn from 0..freqs.len()
-        let freq = FreqIndex(freqs[i]);
-        let mut worker_app = app_ref.clone();
-        let lo = Config {
-            freq,
-            bw: bw_lo,
-            gpu: None,
-        };
-        let hi = Config {
-            freq,
-            bw: bw_hi,
-            gpu: None,
-        };
-        let lo_m = if lo == base_cfg {
-            (base_gips, base_power)
-        } else {
-            measure_config(
-                dev_cfg,
-                &mut worker_app,
-                lo,
-                opts.runs_per_config,
-                opts.run_ms,
-            )
-        };
-        let hi_m = measure_config(
-            dev_cfg,
-            &mut worker_app,
-            hi,
-            opts.runs_per_config,
-            opts.run_ms,
-        );
-        (lo_m, hi_m)
-    });
-
-    let mut entries = Vec::new();
-    for (&f, &((g_lo, p_lo), (g_hi, p_hi))) in freqs.iter().zip(&sweep) {
-        let freq = FreqIndex(f);
-        if opts.interpolate {
-            let span = table.bw(bw_hi).0 - table.bw(bw_lo).0;
-            for b in table.bw_indices() {
-                let t = (table.bw(b).0 - table.bw(bw_lo).0) / span;
-                entries.push(ProfileEntry {
-                    config: Config {
-                        freq,
-                        bw: b,
-                        gpu: None,
-                    },
-                    speedup: (g_lo + t * (g_hi - g_lo)) / base_gips,
-                    power_w: p_lo + t * (p_hi - p_lo),
-                    measured: b == bw_lo || b == bw_hi,
-                });
-            }
-        } else {
-            entries.push(ProfileEntry {
-                config: Config {
-                    freq,
-                    bw: bw_lo,
-                    gpu: None,
-                },
-                speedup: g_lo / base_gips,
-                power_w: p_lo,
-                measured: true,
-            });
-            entries.push(ProfileEntry {
-                config: Config {
-                    freq,
-                    bw: bw_hi,
-                    gpu: None,
-                },
-                speedup: g_hi / base_gips,
-                power_w: p_hi,
-                measured: true,
-            });
-        }
-    }
-
-    ProfileTable {
-        app: app.spec().name.to_string(),
-        base_gips,
-        entries,
-    }
-}
-
-/// Measure one fully pinned (CPU, bandwidth, GPU) point.
-fn measure_config_gpu(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    config: Config,
-    gpu: GpuFreqIndex,
-    runs: usize,
-    run_ms: u64,
-) -> (f64, f64) {
-    let mut gips_sum = 0.0;
-    let mut power_sum = 0.0;
-    for run in 0..runs {
-        let mut device = Device::new(
-            dev_cfg
-                .clone()
-                .with_seed(dev_cfg.seed ^ (run as u64 + 0x30)),
-        );
-        device.set_tool_overhead(0.04, 0.015);
-        device.set_cpu_governor("userspace");
-        device.set_bw_governor("userspace");
-        device.set_gpu_governor("userspace");
-        device.set_cpu_freq(config.freq);
-        device.set_mem_bw(config.bw);
-        device.set_gpu_freq(gpu);
-        app.reset();
-        let report = sim::run(&mut device, app, &mut [], run_ms);
-        gips_sum += report.avg_gips;
-        power_sum += report.avg_power_w;
-    }
-    (gips_sum / runs as f64, power_sum / runs as f64)
+    sweep(dev_cfg, app, opts, threads, SweepKind::TWO_AXIS)
 }
 
 /// Three-axis offline profile (the paper's §VII extension): every
 /// `freq_stride`-th CPU frequency × {lowest, highest} memory bandwidth
 /// × {lowest, highest} GPU frequency, with linear interpolation along
-/// both the bandwidth and the GPU ladders.
+/// both the bandwidth and the GPU ladders (bilinear per frequency), or
+/// only the four measured corners when `opts.interpolate` is `false`.
 ///
 /// # Panics
 ///
@@ -290,125 +104,7 @@ pub fn profile_app_with_gpu(
     app: &mut PhasedApp,
     opts: &ProfileOptions,
 ) -> ProfileTable {
-    assert!(opts.runs_per_config > 0, "need at least one run");
-    assert!(opts.freq_stride > 0, "stride must be positive");
-
-    let table = dev_cfg.table.clone();
-    let gpu_count = asgov_soc::gpu::ADRENO420_FREQS_GHZ.len();
-    let (lo_f, hi_f) = app.spec().profile_freq_range;
-    let hi_f = hi_f.min(table.num_freqs() - 1);
-    let bw_lo = table.min_bw();
-    let bw_hi = table.max_bw();
-    let (gpu_lo, gpu_hi) = (GpuFreqIndex(0), GpuFreqIndex(gpu_count - 1));
-    let gpu_ghz = |i: usize| asgov_soc::gpu::ADRENO420_FREQS_GHZ[i];
-
-    let base_cfg = Config::new(table.min_freq(), table.min_bw());
-    let (base_gips, _) = measure_config_gpu(
-        dev_cfg,
-        app,
-        base_cfg,
-        gpu_lo,
-        opts.runs_per_config,
-        opts.run_ms,
-    );
-    let base_gips = base_gips.max(1e-6);
-
-    // Same fan-out as `profile_app`: one job per profiled frequency,
-    // each measuring its four (bw, gpu) corners on a private app clone.
-    let freqs = freq_ladder(lo_f, hi_f, opts.freq_stride);
-    let app_ref: &PhasedApp = app;
-    let sweep = par::ordered_map(freqs.len(), par::default_threads(freqs.len()), |i| {
-        let freq = FreqIndex(freqs[i]);
-        let mut worker_app = app_ref.clone();
-        // Four measured corners per frequency: (bw, gpu) ∈ {lo,hi}².
-        let mut corner = [[(0.0f64, 0.0f64); 2]; 2];
-        for (bi, bw) in [bw_lo, bw_hi].into_iter().enumerate() {
-            for (gi, gpu) in [gpu_lo, gpu_hi].into_iter().enumerate() {
-                corner[bi][gi] = measure_config_gpu(
-                    dev_cfg,
-                    &mut worker_app,
-                    Config::new(freq, bw),
-                    gpu,
-                    opts.runs_per_config,
-                    opts.run_ms,
-                );
-            }
-        }
-        corner
-    });
-
-    let mut entries = Vec::new();
-    for (&f, corner) in freqs.iter().zip(&sweep) {
-        let freq = FreqIndex(f);
-        let bw_span = table.bw(bw_hi).0 - table.bw(bw_lo).0;
-        let gpu_span = gpu_ghz(gpu_count - 1) - gpu_ghz(0);
-        for b in table.bw_indices() {
-            let tb = (table.bw(b).0 - table.bw(bw_lo).0) / bw_span;
-            for g in 0..gpu_count {
-                let tg = (gpu_ghz(g) - gpu_ghz(0)) / gpu_span;
-                // Bilinear interpolation across the two measured axes.
-                fn lerp2(c: &[[f64; 2]; 2], tb: f64, tg: f64) -> f64 {
-                    let lo_g = c[0][0] + tb * (c[1][0] - c[0][0]);
-                    let hi_g = c[0][1] + tb * (c[1][1] - c[0][1]);
-                    lo_g + tg * (hi_g - lo_g)
-                }
-                let gips_c = [
-                    [corner[0][0].0, corner[0][1].0],
-                    [corner[1][0].0, corner[1][1].0],
-                ];
-                let power_c = [
-                    [corner[0][0].1, corner[0][1].1],
-                    [corner[1][0].1, corner[1][1].1],
-                ];
-                let gips = lerp2(&gips_c, tb, tg);
-                let power = lerp2(&power_c, tb, tg);
-                let measured = (b == bw_lo || b == bw_hi) && (g == 0 || g == gpu_count - 1);
-                entries.push(ProfileEntry {
-                    config: Config::with_gpu(freq, b, GpuFreqIndex(g)),
-                    speedup: gips / base_gips,
-                    power_w: power,
-                    measured,
-                });
-            }
-        }
-    }
-
-    ProfileTable {
-        app: app.spec().name.to_string(),
-        base_gips,
-        entries,
-    }
-}
-
-/// Measure GIPS and power with the CPU pinned and the memory bandwidth
-/// under the default `cpubw_hwmon` governor (for the CPU-only ablation).
-fn measure_config_cpu_only(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    freq: FreqIndex,
-    runs: usize,
-    run_ms: u64,
-) -> (f64, f64) {
-    let mut gips_sum = 0.0;
-    let mut power_sum = 0.0;
-    for run in 0..runs {
-        let mut device = Device::new(
-            dev_cfg
-                .clone()
-                .with_seed(dev_cfg.seed ^ (run as u64 + 0x10)),
-        );
-        device.set_tool_overhead(0.04, 0.015);
-        device.set_cpu_governor("userspace");
-        device.set_cpu_freq(freq);
-        let mut bw_gov = CpubwHwmon::default();
-        let mut gpu_gov = AdrenoTz::default();
-        let mut policies: [&mut dyn Policy; 2] = [&mut bw_gov, &mut gpu_gov];
-        app.reset();
-        let report = sim::run(&mut device, app, &mut policies, run_ms);
-        gips_sum += report.avg_gips;
-        power_sum += report.avg_power_w;
-    }
-    (gips_sum / runs as f64, power_sum / runs as f64)
+    sweep(dev_cfg, app, opts, 0, SweepKind::WITH_GPU)
 }
 
 /// Profile for the paper's §V-D CPU-only ablation: the CPU frequency is
@@ -425,48 +121,206 @@ pub fn profile_app_cpu_only(
     app: &mut PhasedApp,
     opts: &ProfileOptions,
 ) -> ProfileTable {
-    assert!(opts.runs_per_config > 0, "need at least one run");
+    sweep(dev_cfg, app, opts, 0, SweepKind::CPU_ONLY)
+}
+
+/// The axes a sweep pins beside the CPU frequency, and the seed salt of
+/// its runs. A pinned axis is measured at its lowest and highest index;
+/// an unpinned one stays under its stock governor.
+#[derive(Debug, Clone, Copy)]
+struct SweepKind {
+    bw: bool,
+    gpu: bool,
+    salt: u64,
+}
+
+impl SweepKind {
+    /// CPU × bandwidth, the paper's controlled pair (§III-A).
+    const TWO_AXIS: Self = Self {
+        bw: true,
+        gpu: false,
+        salt: 1,
+    };
+    /// CPU × bandwidth × GPU (§VII).
+    const WITH_GPU: Self = Self {
+        bw: true,
+        gpu: true,
+        salt: 0x30,
+    };
+    /// CPU alone, bandwidth under `cpubw_hwmon` (§V-D).
+    const CPU_ONLY: Self = Self {
+        bw: false,
+        gpu: false,
+        salt: 0x10,
+    };
+}
+
+/// How a table row reads the two measured ends of one axis.
+#[derive(Debug, Clone, Copy)]
+enum Weight {
+    Lo,
+    Hi,
+    Lerp(f64),
+}
+
+/// Read an axis between its measured ends. `Lo`/`Hi` return a measured
+/// value itself: `lo + 1.0 * (hi - lo)` need not equal `hi` bit for
+/// bit, so the corners-only table does not go through `Lerp`.
+fn mix(lo: f64, hi: f64, w: Weight) -> f64 {
+    match w {
+        Weight::Lo => lo,
+        Weight::Hi => hi,
+        Weight::Lerp(t) => lo + t * (hi - lo),
+    }
+}
+
+/// One table row's position along an axis: its index (`None` when the
+/// axis is unpinned), how it reads the measured ends, and whether it
+/// was measured.
+#[derive(Debug, Clone, Copy)]
+struct Point {
+    idx: Option<usize>,
+    weight: Weight,
+    measured: bool,
+}
+
+/// The measured ends of an axis with ladder values `ladder` (`None`:
+/// unpinned, so both "ends" are the one stock-governed point).
+fn axis_ends(ladder: Option<&[f64]>) -> [Option<usize>; 2] {
+    match ladder {
+        Some(l) => [Some(0), Some(l.len() - 1)],
+        None => [None, None],
+    }
+}
+
+/// The table rows along an axis: every ladder index when
+/// interpolating, the two measured ends otherwise.
+fn axis_points(ladder: Option<&[f64]>, interpolate: bool) -> Vec<Point> {
+    let point = |idx, weight| Point {
+        idx,
+        weight,
+        measured: true,
+    };
+    let Some(l) = ladder else {
+        return vec![point(None, Weight::Lo)];
+    };
+    let last = l.len() - 1;
+    if !interpolate {
+        return vec![point(Some(0), Weight::Lo), point(Some(last), Weight::Hi)];
+    }
+    let v0 = l.first().copied().unwrap_or_default();
+    let span = l.last().copied().unwrap_or_default() - v0;
+    l.iter()
+        .enumerate()
+        .map(|(i, &v)| Point {
+            idx: Some(i),
+            weight: Weight::Lerp((v - v0) / span),
+            measured: i == 0 || i == last,
+        })
+        .collect()
+}
+
+/// The one Stage-1 ladder sweep behind every `profile_app*` entry
+/// point: measure the base point (the SoC's lowest configuration, which
+/// anchors the speedup scale), then fan out one job per profiled
+/// frequency measuring its bandwidth × GPU corners — reusing the base
+/// measurement wherever a corner is the base point — and build the
+/// table by linear or bilinear interpolation between the corners, or
+/// from the corners alone when `opts.interpolate` is `false`.
+///
+/// Every run's seed derives from `(dev_cfg.seed, kind.salt, run)` and never
+/// from the worker, so the table is independent of `threads`.
+fn sweep(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    opts: &ProfileOptions,
+    threads: usize,
+    kind: SweepKind,
+) -> ProfileTable {
     assert!(opts.freq_stride > 0, "stride must be positive");
 
-    let table = dev_cfg.table.clone();
-    let (lo_f, hi_f) = app.spec().profile_freq_range;
-    let hi_f = hi_f.min(table.num_freqs() - 1);
+    let table = &dev_cfg.table;
+    let bw_ladder: Option<Vec<f64>> = kind
+        .bw
+        .then(|| table.bw_indices().map(|b| table.bw(b).0).collect());
+    let gpu_ladder = kind.gpu.then_some(ADRENO420_FREQS_GHZ.as_slice());
+    let [bw_lo, bw_hi] = axis_ends(bw_ladder.as_deref()).map(|b| b.map(BwIndex));
+    let [gpu_lo, gpu_hi] = axis_ends(gpu_ladder).map(|g| g.map(GpuFreqIndex));
 
-    let (base_gips, _) = measure_config_cpu_only(
-        dev_cfg,
-        app,
-        table.min_freq(),
-        opts.runs_per_config,
-        opts.run_ms,
-    );
+    // GIPS and power at one pinned point, averaged over the runs.
+    let (runs, run_ms) = (opts.runs_per_config, opts.run_ms);
+    let measure = |app: &mut PhasedApp, setup| {
+        let m = measure_runs(dev_cfg, app, runs, setup, || None, run_ms);
+        (m.gips, m.power_w)
+    };
+    let base = RunSetup {
+        salt: kind.salt,
+        perf: true,
+        cpu: Some(table.min_freq()),
+        bw: bw_lo,
+        gpu: gpu_lo,
+    };
+    let (base_gips, base_power) = measure(app, base);
     let base_gips = base_gips.max(1e-6);
 
-    // Same fan-out as `profile_app`: one measurement job per frequency.
-    let freqs = freq_ladder(lo_f, hi_f, opts.freq_stride);
+    let (lo_f, hi_f) = app.spec().profile_freq_range;
+    let freqs = freq_ladder(lo_f, hi_f.min(table.num_freqs() - 1), opts.freq_stride);
+    let threads = if threads == 0 {
+        par::default_threads(freqs.len())
+    } else {
+        threads
+    };
     let app_ref: &PhasedApp = app;
-    let sweep = par::ordered_map(freqs.len(), par::default_threads(freqs.len()), |i| {
+    let corners = par::ordered_map(freqs.len(), threads, |i| {
+        // asgov-analyze: allow(hot-path-transitive): ordered_map hands the closure indices drawn from 0..freqs.len()
+        let cpu = Some(FreqIndex(freqs[i]));
+        // Each job owns a fresh clone of the app (reset before every
+        // run anyway); points measured once are not measured again.
         let mut worker_app = app_ref.clone();
-        measure_config_cpu_only(
-            dev_cfg,
-            &mut worker_app,
-            FreqIndex(freqs[i]),
-            opts.runs_per_config,
-            opts.run_ms,
-        )
+        let mut done = vec![(base, (base_gips, base_power))];
+        let mut at = |bw, gpu| {
+            let setup = RunSetup {
+                cpu,
+                bw,
+                gpu,
+                ..base
+            };
+            if let Some(&(_, m)) = done.iter().find(|(s, _)| *s == setup) {
+                return m;
+            }
+            let m = measure(&mut worker_app, setup);
+            done.push((setup, m));
+            m
+        };
+        [
+            [at(bw_lo, gpu_lo), at(bw_lo, gpu_hi)],
+            [at(bw_hi, gpu_lo), at(bw_hi, gpu_hi)],
+        ]
     });
 
+    let bw_points = axis_points(bw_ladder.as_deref(), opts.interpolate);
+    let gpu_points = axis_points(gpu_ladder, opts.interpolate);
     let mut entries = Vec::new();
-    for (&f, &(g, p)) in freqs.iter().zip(&sweep) {
-        entries.push(ProfileEntry {
-            config: Config {
-                freq: FreqIndex(f),
-                bw: table.min_bw(),
-                gpu: None,
-            },
-            speedup: g / base_gips,
-            power_w: p,
-            measured: true,
-        });
+    for (&f, &[[c00, c01], [c10, c11]]) in freqs.iter().zip(&corners) {
+        for b in &bw_points {
+            for g in &gpu_points {
+                let value = |of: fn((f64, f64)) -> f64| {
+                    let gpu_lo = mix(of(c00), of(c10), b.weight);
+                    let gpu_hi = mix(of(c01), of(c11), b.weight);
+                    mix(gpu_lo, gpu_hi, g.weight)
+                };
+                entries.push(ProfileEntry {
+                    config: Config {
+                        freq: FreqIndex(f),
+                        bw: b.idx.map_or(table.min_bw(), BwIndex),
+                        gpu: g.idx.map(GpuFreqIndex),
+                    },
+                    speedup: value(|c| c.0) / base_gips,
+                    power_w: value(|c| c.1),
+                    measured: b.measured && g.measured,
+                });
+            }
+        }
     }
 
     ProfileTable {
@@ -487,7 +341,7 @@ pub fn fit_mar_cse(
     opts: &ProfileOptions,
 ) -> asgov_governors::MarCseModel {
     assert!(!apps.is_empty(), "need at least one training application");
-    let table = dev_cfg.table.clone();
+    let table = &dev_cfg.table;
     let mut points = Vec::new();
     for app in apps.iter_mut() {
         // One job per swept frequency; the (energy/instr, MAR) samples
@@ -497,25 +351,20 @@ pub fn fit_mar_cse(
         let app_ref: &PhasedApp = app;
         let sweep = par::ordered_map(freqs.len(), par::default_threads(freqs.len()), |i| {
             let f = freqs[i];
-            let freq = FreqIndex(f);
+            let setup = RunSetup {
+                salt: f as u64 + 0x50,
+                perf: true,
+                cpu: Some(FreqIndex(f)),
+                bw: Some(table.min_bw()),
+                gpu: None,
+            };
             let mut worker_app = app_ref.clone();
-            let mut device =
-                Device::new(dev_cfg.clone().with_seed(dev_cfg.seed ^ (f as u64 + 0x50)));
-            device.set_tool_overhead(0.04, 0.015);
-            device.set_cpu_governor("userspace");
-            device.set_bw_governor("userspace");
-            device.set_cpu_freq(freq);
-            let mut gpu_gov = AdrenoTz::default();
-            let mut policies: [&mut dyn Policy; 1] = [&mut gpu_gov];
-            worker_app.reset();
-            let report = sim::run(&mut device, &mut worker_app, &mut policies, opts.run_ms);
-            if report.instructions > 0.0 {
+            let (report, device) = measure_run(dev_cfg, &mut worker_app, setup, None, opts.run_ms);
+            (report.instructions > 0.0).then(|| {
                 let energy_per_instr = report.energy_j / report.instructions;
                 let mar = device.pmu().bus_bytes() / device.pmu().instructions();
-                Some((energy_per_instr, freq, mar))
-            } else {
-                None
-            }
+                (energy_per_instr, FreqIndex(f), mar)
+            })
         });
 
         let mut best: Option<(f64, FreqIndex)> = None; // (energy per instr, freq)
@@ -645,6 +494,25 @@ mod tests {
     }
 
     #[test]
+    fn gpu_profile_without_interpolation_keeps_only_measured_corners() {
+        let dev_cfg = DeviceConfig::nexus6();
+        let mut app = apps::spotify(BackgroundLoad::baseline(1));
+        let opts = ProfileOptions {
+            interpolate: false,
+            ..opts_fast()
+        };
+        let t = profile_app_with_gpu(&dev_cfg, &mut app, &opts);
+        // Spotify profiles f1..f5 with stride 4 -> f1, f5, each with its
+        // four (bw, gpu) corners.
+        assert_eq!(t.len(), 2 * 4);
+        assert!(t.entries.iter().all(|e| e.measured));
+        for f in [FreqIndex(0), FreqIndex(4)] {
+            let rows = t.entries.iter().filter(|e| e.config.freq == f).count();
+            assert_eq!(rows, 4, "four measured corners at {f}");
+        }
+    }
+
+    #[test]
     fn parallel_profile_matches_serial() {
         // The tentpole determinism claim: the threaded sweep produces a
         // byte-identical ProfileTable for any worker count.
@@ -656,7 +524,7 @@ mod tests {
             interpolate: true,
         };
         let app = apps::spotify(BackgroundLoad::baseline(1));
-        let serial = profile_app_serial(&dev_cfg, &mut app.clone(), &opts);
+        let serial = profile_app_threads(&dev_cfg, &mut app.clone(), &opts, 1);
         for threads in [2, 3, 8] {
             let parallel = profile_app_threads(&dev_cfg, &mut app.clone(), &opts, threads);
             assert_eq!(serial.app, parallel.app);
