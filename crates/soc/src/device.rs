@@ -650,7 +650,11 @@ impl Device {
     /// Bit-identical to calling [`Device::tick`] `span_ms` times with
     /// the same demand, provided no fault boundary falls strictly inside
     /// the span (the caller bounds spans by
-    /// [`Device::next_fault_boundary_ms`]): the expensive contention /
+    /// [`Device::next_fault_boundary_ms`], which also forces 1 ms spans
+    /// while an active one-shot window has not fired). Fault side
+    /// effects are applied at the span start only; every window a span
+    /// may cover is a no-op at interior milliseconds (see
+    /// [`FaultInjector::next_event_ms`]). The expensive contention /
     /// roofline / power model is evaluated once, and every
     /// per-millisecond accumulator (PMU counters, busy time, monitor
     /// energy — including its per-sample noise draws — battery, GPU and
@@ -663,9 +667,10 @@ impl Device {
     pub fn tick_span(&mut self, demand: &Demand, span_ms: u64) -> TickOutcome {
         let span_ms = span_ms.max(1);
         // Fault-plan side effects (external governor resets, hotplug
-        // churn, thermal force-down) fire at span start; interior
-        // milliseconds would be no-ops because the caller never lets a
-        // span cross or sit inside a fault window (see
+        // churn, thermal force-down) fire at span start. Interior
+        // milliseconds would be no-ops: spans never cross a window edge,
+        // one-shot windows fire on a 1 ms span, and level windows only
+        // re-apply a state nothing changes between spans (see
         // `FaultInjector::next_event_ms`). The branch is free when no
         // injector is installed.
         let now = self.now_ms;

@@ -41,9 +41,19 @@
 //!   order of every per-millisecond accumulator (f64 addition is not
 //!   associative, so sums are replayed, not hoisted), including the
 //!   power monitor's per-sample noise draws;
-//! - spans never cross a fault window edge, and collapse to 1 ms inside
-//!   active windows, so injection behaviour (and its RNG stream) is
-//!   untouched.
+//! - spans never cross a fault window edge, and only an active one-shot
+//!   window that has not fired yet (governor reset, controller kill)
+//!   forces a 1 ms span: it fires on that span's first tick, and the
+//!   policies see it one millisecond later, as in the tick core. Every
+//!   other window is a no-op at interior milliseconds, so spans run
+//!   through it: level windows (thermal clamp, hotplug) are re-applied
+//!   at each span start and every CPU-frequency change between spans
+//!   goes through the clamped `set_cpu_freq`; hook-gated windows (sysfs
+//!   busy, perf faults, checkpoint corruption, clock jumps) draw from
+//!   the injector's RNG only when a policy calls the hook, which it does
+//!   only at the events it advertises. Injection behaviour and its RNG
+//!   stream are therefore untouched (see
+//!   [`FaultInjector::next_event_ms`](crate::faults::FaultInjector::next_event_ms)).
 //!
 //! The differential suites (`event.rs` unit tests, `tests/event_core.rs`
 //! at the workspace root, and the twin-device span property in

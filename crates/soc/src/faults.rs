@@ -104,6 +104,15 @@ impl FaultKind {
             FaultKind::ClockJump => "clock-jump",
         }
     }
+
+    /// Whether the kind acts once per window, on its first active tick
+    /// ([`FaultKind::GovernorReset`], [`FaultKind::ControllerKill`]).
+    fn is_one_shot(&self) -> bool {
+        matches!(
+            self,
+            FaultKind::GovernorReset(_) | FaultKind::ControllerKill
+        )
+    }
 }
 
 /// One fault, active over `[start_ms, end_ms)`.
@@ -278,29 +287,39 @@ impl FaultPlan {
 
     /// Earliest millisecond after `now_ms` at which the plan's
     /// tick-level behaviour may differ from its behaviour at `now_ms` —
-    /// the event engine's fault clock domain. While *any* window is
-    /// active this is the very next millisecond (active windows may draw
-    /// randomness or act on every tick, so spans collapse to the exact
-    /// per-tick sequence); otherwise it is the nearest upcoming window
-    /// start or end, or [`u64::MAX`] for an empty/exhausted plan.
+    /// the event engine's fault clock domain, for an injector on which
+    /// nothing has fired yet (see [`FaultInjector::next_event_ms`] for
+    /// the rule). [`u64::MAX`] for an empty or exhausted plan.
     pub fn next_event_ms(&self, now_ms: u64) -> u64 {
-        let mut next = u64::MAX;
-        for w in &self.windows {
-            if (w.start_ms..w.end_ms).contains(&now_ms) {
-                return now_ms.saturating_add(1);
-            }
-            if w.start_ms > now_ms {
-                next = next.min(w.start_ms);
-            }
-            // The first millisecond *past* a window is also a boundary:
-            // hotplug restore (and any level-triggered cleanup) fires on
-            // the first inactive tick.
-            if w.end_ms > now_ms {
-                next = next.min(w.end_ms);
-            }
-        }
-        next
+        fault_horizon(self.windows.iter().map(|w| (w, false)), now_ms)
     }
+}
+
+/// Whether `w` is active at `now_ms`.
+fn active(w: &FaultWindow, now_ms: u64) -> bool {
+    (w.start_ms..w.end_ms).contains(&now_ms)
+}
+
+/// The fault clock domain over `(window, fired)` pairs: `now + 1` while
+/// an active one-shot window has not fired, else the nearest upcoming
+/// window start or end ([`u64::MAX`] if none).
+fn fault_horizon<'a>(windows: impl Iterator<Item = (&'a FaultWindow, bool)>, now_ms: u64) -> u64 {
+    let mut next = u64::MAX;
+    for (w, fired) in windows {
+        if w.kind.is_one_shot() && !fired && active(w, now_ms) {
+            return now_ms.saturating_add(1);
+        }
+        if w.start_ms > now_ms {
+            next = next.min(w.start_ms);
+        }
+        // The first millisecond *past* a window is also a boundary:
+        // hotplug restore (and any level-triggered cleanup) fires on
+        // the first inactive tick.
+        if w.end_ms > now_ms {
+            next = next.min(w.end_ms);
+        }
+    }
+    next
 }
 
 /// Cumulative injection counters (what the injector actually did).
@@ -390,34 +409,38 @@ impl FaultInjector {
         self.windows.is_empty()
     }
 
+    /// The plan's windows, in non-decreasing `start_ms` order.
+    pub fn windows(&self) -> &[FaultWindow] {
+        &self.windows
+    }
+
     /// What the injector has injected so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
     }
 
     /// Earliest millisecond after `now_ms` at which injection behaviour
-    /// may change — see [`FaultPlan::next_event_ms`]. Used by the event
-    /// engine via [`Device::next_fault_boundary_ms`](crate::Device::next_fault_boundary_ms)
-    /// to collapse spans to single ticks inside active windows and to
-    /// land exactly on window starts and ends.
+    /// may change — the event engine's fault clock domain, read through
+    /// [`Device::next_fault_boundary_ms`](crate::Device::next_fault_boundary_ms).
+    ///
+    /// Only an active one-shot window ([`FaultKind::GovernorReset`],
+    /// [`FaultKind::ControllerKill`]) that has not fired yet answers
+    /// `now + 1`: it fires on the next span's first tick, and the
+    /// policies must see its effect one millisecond later, exactly as in
+    /// the 1 ms tick core. Every other window only bounds spans at its
+    /// `start_ms` and `end_ms`, because its interior milliseconds are
+    /// no-ops for the injector:
+    ///
+    /// - level windows ([`FaultKind::ThermalClamp`],
+    ///   [`FaultKind::Hotplug`]) are re-applied at the start of every
+    ///   span, and between spans only policies act, with every CPU
+    ///   frequency change clamped by `set_cpu_freq`;
+    /// - hook-gated windows ([`FaultKind::SysfsBusy`], the perf faults,
+    ///   [`FaultKind::CheckpointCorrupt`], [`FaultKind::ClockJump`])
+    ///   draw randomness only when a policy calls the hook, and policies
+    ///   act only at the events they advertise to the engine.
     pub fn next_event_ms(&self, now_ms: u64) -> u64 {
-        let mut next = u64::MAX;
-        for w in &self.windows {
-            if Self::active(w, now_ms) {
-                return now_ms.saturating_add(1);
-            }
-            if w.start_ms > now_ms {
-                next = next.min(w.start_ms);
-            }
-            if w.end_ms > now_ms {
-                next = next.min(w.end_ms);
-            }
-        }
-        next
-    }
-
-    fn active(w: &FaultWindow, now_ms: u64) -> bool {
-        (w.start_ms..w.end_ms).contains(&now_ms)
+        fault_horizon(self.windows.iter().zip(self.fired.iter().copied()), now_ms)
     }
 
     /// Per-tick state changes (called by `Device::tick` before the
@@ -426,7 +449,7 @@ impl FaultInjector {
         let mut actions = TickActions::default();
         let mut hotplug_active = false;
         for (w, fired) in self.windows.iter().zip(self.fired.iter_mut()) {
-            if !Self::active(w, now_ms) {
+            if !active(w, now_ms) {
                 continue;
             }
             match &w.kind {
@@ -473,7 +496,7 @@ impl FaultInjector {
     pub(crate) fn intercept_write(&mut self, now_ms: u64, path: &str) -> Option<SocError> {
         for w in &self.windows {
             if matches!(w.kind, FaultKind::SysfsBusy)
-                && Self::active(w, now_ms)
+                && active(w, now_ms)
                 && (w.probability >= 1.0 || self.rng.gen_bool(w.probability))
             {
                 self.stats.sysfs_busy += 1;
@@ -488,7 +511,7 @@ impl FaultInjector {
     pub(crate) fn thermal_ceiling(&self, now_ms: u64) -> Option<usize> {
         self.windows
             .iter()
-            .filter(|w| Self::active(w, now_ms))
+            .filter(|w| active(w, now_ms))
             .filter_map(|w| match w.kind {
                 FaultKind::ThermalClamp(c) => Some(c),
                 _ => None,
@@ -508,7 +531,7 @@ impl FaultInjector {
     pub(crate) fn checkpoint_corrupt(&mut self, now_ms: u64) -> bool {
         for w in &self.windows {
             if matches!(w.kind, FaultKind::CheckpointCorrupt)
-                && Self::active(w, now_ms)
+                && active(w, now_ms)
                 && (w.probability >= 1.0 || self.rng.gen_bool(w.probability))
             {
                 self.stats.checkpoint_corruptions += 1;
@@ -525,7 +548,7 @@ impl FaultInjector {
     pub(crate) fn clock_jump(&mut self, now_ms: u64) -> bool {
         for w in &self.windows {
             if matches!(w.kind, FaultKind::ClockJump)
-                && Self::active(w, now_ms)
+                && active(w, now_ms)
                 && (w.probability >= 1.0 || self.rng.gen_bool(w.probability))
             {
                 self.stats.clock_jumps += 1;
@@ -538,7 +561,7 @@ impl FaultInjector {
     /// Draw the fault (if any) afflicting a perf reading at `now_ms`.
     pub(crate) fn perf_fault(&mut self, now_ms: u64) -> Option<PerfFault> {
         for w in &self.windows {
-            if !Self::active(w, now_ms) {
+            if !active(w, now_ms) {
                 continue;
             }
             let fault = match w.kind {
@@ -851,6 +874,31 @@ mod tests {
             unordered.validate(),
             Err(FaultPlanError::OutOfOrder { .. })
         ));
+    }
+
+    #[test]
+    fn only_unfired_one_shot_windows_force_one_ms_spans() {
+        let plan = FaultPlan::new()
+            .window(100, 900, FaultKind::SysfsBusy)
+            .and_then(|p| p.window(200, 300, FaultKind::ThermalClamp(3)))
+            .and_then(|p| p.window(400, 450, FaultKind::ControllerKill))
+            .expect("valid windows");
+        let mut inj = FaultInjector::new(plan.clone(), 7);
+        assert_eq!(
+            inj.next_event_ms(100),
+            200,
+            "passive windows bound spans at their edges"
+        );
+        assert_eq!(inj.next_event_ms(250), 300);
+        assert_eq!(
+            inj.next_event_ms(400),
+            401,
+            "an unfired kill forces a 1 ms span"
+        );
+        assert!(inj.on_tick(400).controller_kill);
+        assert_eq!(inj.next_event_ms(401), 450, "a fired kill is passive");
+        assert_eq!(plan.next_event_ms(401), 402, "the plan: nothing fired yet");
+        assert_eq!(inj.next_event_ms(450), 900);
     }
 
     #[test]

@@ -237,6 +237,11 @@ impl PhasedApp {
     /// window; event power is pro-rated by window overlap) for a large
     /// reduction in per-simulated-ms work. Determinism is unchanged:
     /// every draw derives from the seed and absolute window position.
+    /// Delivery stays per millisecond in both models (the default
+    /// [`Workload::deliver_span`] replay), so the app's state does not
+    /// depend on how the engine splits a window into spans: a window
+    /// cut by a fault edge or a policy event ends bit-identical to one
+    /// run as a single span, and to the 1 ms tick core.
     /// Batch apps keep the exact model regardless (their finish time
     /// must stay ms-accurate).
     pub fn with_quantum(mut self, quantum_ms: u64) -> Self {
@@ -284,34 +289,6 @@ impl PhasedApp {
             self.phase_elapsed_ms = 0;
             self.phase_idx = (self.phase_idx + 1) % self.spec.phases.len();
         }
-    }
-
-    /// Advance the phase clock by `ms` simulated milliseconds at once,
-    /// crossing as many phase boundaries as the span covers (same
-    /// cycle structure as `ms` calls to [`Self::advance_phase_clock`]).
-    fn advance_phase_clock_by(&mut self, mut ms: u64) {
-        while ms > 0 {
-            let dur = self.current_phase().duration_ms.max(1);
-            let rem = dur - self.phase_elapsed_ms.min(dur - 1);
-            if ms >= rem {
-                ms -= rem;
-                self.phase_elapsed_ms = 0;
-                self.phase_idx = (self.phase_idx + 1) % self.spec.phases.len();
-            } else {
-                self.phase_elapsed_ms += ms;
-                ms = 0;
-            }
-        }
-    }
-
-    /// Batched work delivery for the coarse model: one accumulator
-    /// update for the whole span instead of a per-ms replay.
-    fn coarse_deliver(&mut self, gi: f64, span_ms: u64) {
-        self.executed_gi += gi;
-        let from_events = gi.min(self.event_backlog_gi);
-        self.event_backlog_gi -= from_events;
-        self.frame_backlog_gi = (self.frame_backlog_gi - (gi - from_events)).max(0.0);
-        self.advance_phase_clock_by(span_ms);
     }
 
     /// Demand under the coarse windowed model: all bookkeeping happens
@@ -504,10 +481,6 @@ impl Workload for PhasedApp {
     }
 
     fn deliver(&mut self, _now_ms: u64, executed: Executed) {
-        if self.coarse() {
-            self.coarse_deliver(executed.instructions / 1e9, 1);
-            return;
-        }
         let gi = executed.instructions / 1e9;
         self.executed_gi += gi;
         if !matches!(self.spec.kind, AppKind::Batch { .. }) {
@@ -549,19 +522,6 @@ impl Workload for PhasedApp {
             (now_ms / self.quantum_ms + 1).saturating_mul(self.quantum_ms)
         } else {
             now_ms.saturating_add(1)
-        }
-    }
-
-    fn deliver_span(&mut self, now_ms: u64, executed: Executed, span_ms: u64) {
-        if self.coarse() {
-            self.coarse_deliver(executed.instructions * span_ms as f64 / 1e9, span_ms);
-        } else {
-            // Exact model: replay the per-ms delivery sequence so
-            // accumulator order (and bit-identity with the tick core)
-            // is preserved.
-            for j in 0..span_ms {
-                self.deliver(now_ms + j, executed);
-            }
         }
     }
 }
