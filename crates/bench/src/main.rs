@@ -4,7 +4,7 @@
 
 use asgov_bench::{bench, suite_report, synthetic_profile, synthetic_table, BenchConfig};
 use asgov_control::{AdaptiveIntegrator, KalmanFilter};
-use asgov_core::{ControllerBuilder, EnergyController, EnergyOptimizer};
+use asgov_core::{EnergyOptimizer, PolicySpec};
 use asgov_governors::{AdrenoTz, CpubwHwmon};
 use asgov_linprog::{two_point, HullSolver};
 use asgov_obs::{CycleRecord, RingSink, TraceSink as _};
@@ -152,14 +152,13 @@ fn controller_suite(quick: bool) -> Json {
     let r = bench(&format!("controller_run/{sim_ms}ms"), &run_cfg, || {
         let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = apps::spotify(BackgroundLoad::baseline(1));
-        let controller: EnergyController = ControllerBuilder::new(table.clone())
-            .target_gips(0.5)
-            .seed(0xc0de)
-            .build();
-        let mut gpu = AdrenoTz::default();
-        let mut ctrl = controller;
-        let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut ctrl];
-        black_box(sim::run(&mut device, &mut app, &mut policies, sim_ms));
+        let mut stack = PolicySpec::new(table.clone(), 0.5).stack(0xc0de);
+        black_box(sim::run(
+            &mut device,
+            &mut app,
+            &mut stack.policies(),
+            sim_ms,
+        ));
     });
     let ns_per_sim_ms = r.median_ns / sim_ms as f64;
     let untraced_median_ns = r.median_ns;
@@ -174,16 +173,15 @@ fn controller_suite(quick: bool) -> Json {
         || {
             let mut device = Device::new(DeviceConfig::nexus6());
             let mut app = apps::spotify(BackgroundLoad::baseline(1));
-            let controller: EnergyController = ControllerBuilder::new(table.clone())
-                .target_gips(0.5)
-                .seed(0xc0de)
-                .build();
+            let mut stack = PolicySpec::new(table.clone(), 0.5).stack(0xc0de);
             let sink = Rc::new(RefCell::new(RingSink::new(4096)));
             device.install_obs_sink(sink.clone());
-            let mut gpu = AdrenoTz::default();
-            let mut ctrl = controller;
-            let mut policies: [&mut dyn Policy; 2] = [&mut gpu, &mut ctrl];
-            black_box(sim::run(&mut device, &mut app, &mut policies, sim_ms));
+            black_box(sim::run(
+                &mut device,
+                &mut app,
+                &mut stack.policies(),
+                sim_ms,
+            ));
             black_box(sink.borrow().ring().len());
         },
     );

@@ -1,14 +1,14 @@
 //! Command implementations.
 
 use crate::args::Command;
-use asgov_core::{ControlMode, ControllerBuilder};
-use asgov_governors::{AdrenoTz, CpubwHwmon};
+use asgov_core::{ControlMode, ControllerBuilder, PolicySpec};
+use asgov_experiments::harness::{compare, ExperimentOptions};
 use asgov_obs::{parse_jsonl, RingSink, TraceSink as _};
 use asgov_profiler::{
     measure_default, profile_app, profile_app_cpu_only, profile_app_with_gpu, ProfileOptions,
     ProfileTable,
 };
-use asgov_soc::{event, Device, DeviceConfig, Policy, Workload as _};
+use asgov_soc::{Device, DeviceConfig, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad, LoadLevel, PhasedApp};
 use std::cell::RefCell;
 use std::error::Error;
@@ -138,27 +138,23 @@ pub fn run(cmd: Command) -> Result<()> {
                 }
             };
 
-            let mode = if cpu_only {
-                ControlMode::CpuOnly
-            } else {
-                ControlMode::Coordinated
+            let spec = PolicySpec {
+                mode: if cpu_only {
+                    ControlMode::CpuOnly
+                } else {
+                    ControlMode::Coordinated
+                },
+                ..PolicySpec::new(table, target)
             };
-            let mut controller = ControllerBuilder::new(table)
-                .target_gips(target)
-                .mode(mode)
+            let controller = spec
+                .builder(ControllerBuilder::DEFAULT_SEED)
                 .keep_log(true)
                 .build();
-            let mut bw = CpubwHwmon::default();
-            let mut gpu_gov = AdrenoTz::default();
+            let mut stack = spec.stack_with(controller);
             let mut device = Device::new(dev_cfg);
             a.reset();
-            let mut policies: Vec<&mut dyn Policy> = Vec::new();
-            if cpu_only {
-                policies.push(&mut bw);
-            }
-            policies.push(&mut gpu_gov);
-            policies.push(&mut controller);
-            let report = event::run(&mut device, &mut a, &mut policies, duration_s * 1000);
+            let report = stack.run(&mut device, &mut a, duration_s * 1000);
+            let controller = &stack.controller;
 
             println!("{app} under the asgov controller (target {target:.4} GIPS, {load}):");
             println!("  achieved = {:.4} GIPS", report.avg_gips);
@@ -196,40 +192,20 @@ pub fn run(cmd: Command) -> Result<()> {
             load,
             quick,
         } => {
-            let dev_cfg = DeviceConfig::nexus6();
             let mut a = make_app(&app, &load)?;
-            let opts = if quick {
-                ProfileOptions {
-                    runs_per_config: 1,
-                    run_ms: 6_000,
-                    freq_stride: 2,
-                    interpolate: true,
+            let opts = ExperimentOptions {
+                duration_ms: Some(duration_s * 1000),
+                ..if quick {
+                    ExperimentOptions::quick()
+                } else {
+                    ExperimentOptions::default()
                 }
-            } else {
-                ProfileOptions::default()
             };
-            let runs = if quick { 1 } else { 3 };
-            eprintln!("profiling {app}...");
-            let table = profile_app(&dev_cfg, &mut a, &opts);
-            eprintln!("measuring the default governors...");
-            let default = measure_default(&dev_cfg, &mut a, runs, duration_s * 1000);
-
-            let mut controller = ControllerBuilder::new(table)
-                .target_gips(default.gips)
-                .build();
-            let mut gpu_gov = AdrenoTz::default();
-            let mut device = Device::new(dev_cfg);
-            a.reset();
-            eprintln!("running the controller...");
-            let report = event::run(
-                &mut device,
-                &mut a,
-                &mut [&mut gpu_gov, &mut controller],
-                duration_s * 1000,
+            eprintln!(
+                "profiling {app}, then measuring the default governors and the controller..."
             );
-
-            let savings = (default.energy_j - report.energy_j) / default.energy_j * 100.0;
-            let perf = (report.avg_gips - default.gips) / default.gips * 100.0;
+            let c = compare(&DeviceConfig::nexus6(), &mut a, &opts);
+            let (default, controller) = (&c.default, &c.controller);
             println!("{app} ({load}, {duration_s} s):");
             println!(
                 "  default:    {:.4} GIPS  {:.3} W  {:.1} J",
@@ -237,13 +213,15 @@ pub fn run(cmd: Command) -> Result<()> {
             );
             println!(
                 "  controller: {:.4} GIPS  {:.3} W  {:.1} J",
-                report.avg_gips, report.avg_power_w, report.energy_j
+                controller.gips, controller.power_w, controller.energy_j
             );
-            println!("  => {savings:+.1}% energy at {perf:+.1}% performance");
-            if let Some(health) = report.health {
-                if !health.is_clean() {
-                    println!("  health:     {}", health.summary());
-                }
+            println!(
+                "  => {:+.1}% energy at {:+.1}% performance",
+                c.energy_savings_pct(),
+                c.performance_delta_pct()
+            );
+            if let Some(health) = c.health().filter(|h| !h.is_clean()) {
+                println!("  health:     {}", health.summary());
             }
             Ok(())
         }
@@ -282,18 +260,13 @@ pub fn run(cmd: Command) -> Result<()> {
                 }
             };
 
-            let mut controller = ControllerBuilder::new(table).target_gips(target).build();
-            let mut gpu_gov = AdrenoTz::default();
             let mut device = Device::new(dev_cfg);
             let sink = Rc::new(RefCell::new(RingSink::new(capacity)));
             device.install_obs_sink(sink.clone());
             a.reset();
-            let report = event::run(
-                &mut device,
-                &mut a,
-                &mut [&mut gpu_gov, &mut controller],
-                duration_s * 1000,
-            );
+            let report = PolicySpec::new(table, target)
+                .stack(ControllerBuilder::DEFAULT_SEED)
+                .run(&mut device, &mut a, duration_s * 1000);
 
             let sink = sink.borrow();
             let path = out.unwrap_or_else(|| format!("{app}.trace.jsonl"));

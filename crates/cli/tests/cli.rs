@@ -99,6 +99,63 @@ fn profile_then_control_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `compare` is `harness::compare`: its printed row is the library's
+/// comparison at `ExperimentOptions::quick()` with the requested run
+/// length, to the printed precision. VidCon is deadline-based, so the
+/// row depends on the harness's margin rule and time-based perf delta.
+#[test]
+fn compare_prints_the_harness_row() {
+    use asgov_experiments::harness::{compare, ExperimentOptions};
+    use asgov_soc::DeviceConfig;
+    use asgov_workloads::{apps, BackgroundLoad};
+
+    let out = asgov()
+        .args([
+            "compare",
+            "--app",
+            "VidCon",
+            "--quick",
+            "--duration-s",
+            "10",
+        ])
+        .output()
+        .expect("run compare");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+
+    let opts = ExperimentOptions {
+        duration_ms: Some(10_000),
+        ..ExperimentOptions::quick()
+    };
+    let mut app = apps::vidcon(BackgroundLoad::baseline(1));
+    let c = compare(&DeviceConfig::nexus6(), &mut app, &opts);
+    let expected = [
+        format!(
+            "  default:    {:.4} GIPS  {:.3} W  {:.1} J",
+            c.default.gips, c.default.power_w, c.default.energy_j
+        ),
+        format!(
+            "  controller: {:.4} GIPS  {:.3} W  {:.1} J",
+            c.controller.gips, c.controller.power_w, c.controller.energy_j
+        ),
+        format!(
+            "  => {:+.1}% energy at {:+.1}% performance",
+            c.energy_savings_pct(),
+            c.performance_delta_pct()
+        ),
+    ];
+    for line in expected {
+        assert!(
+            text.lines().any(|l| l == line),
+            "missing {line:?} in:\n{text}"
+        );
+    }
+}
+
 #[test]
 fn trace_then_stats_round_trip() {
     let dir = std::env::temp_dir().join("asgov_cli_trace_test");

@@ -83,6 +83,9 @@ pub struct ControllerBuilder {
 }
 
 impl ControllerBuilder {
+    /// The perf-noise seed a builder starts with.
+    pub const DEFAULT_SEED: u64 = 0xc0;
+
     /// Start building a controller around an offline profile.
     pub fn new(profile: ProfileTable) -> Self {
         Self {
@@ -94,7 +97,7 @@ impl ControllerBuilder {
             min_dwell_ms: 200,
             mode: ControlMode::Coordinated,
             keep_log: false,
-            seed: 0xc0,
+            seed: Self::DEFAULT_SEED,
             target_margin: 0.01,
             gain: 0.45,
             phase_detection: false,

@@ -59,6 +59,7 @@
 
 mod adaptive;
 mod controller;
+mod deploy;
 mod optimizer;
 pub mod persist;
 mod regulator;
@@ -70,6 +71,7 @@ pub use adaptive::LoadAdaptiveController;
 pub use controller::{
     ControlCycleLog, ControlMode, ControllerBuilder, EnergyController, OptimizerStrategy,
 };
+pub use deploy::{ControllerStack, PolicySpec, TargetMargin};
 pub use optimizer::EnergyOptimizer;
 pub use persist::{Restartable, SnapshotError, SnapshotReader, SnapshotWriter};
 pub use regulator::{PerformanceRegulator, RegulatorState};

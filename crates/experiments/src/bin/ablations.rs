@@ -5,10 +5,10 @@
 //!
 //! Run: `cargo run --release -p asgov-experiments --bin ablations`
 
-use asgov_core::{ControllerBuilder, EnergyController};
+use asgov_core::{ControllerBuilder, PolicySpec};
 use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive, MpDecision};
 use asgov_profiler::{
-    measure_default, measure_fixed, profile_app, DefaultMeasurement, ProfileOptions, ProfileTable,
+    measure_default, measure_fixed, profile_app, DefaultMeasurement, ProfileOptions,
 };
 use asgov_soc::{event, Device};
 use asgov_soc::{DeviceConfig, Policy};
@@ -23,21 +23,15 @@ fn app() -> PhasedApp {
 fn run_controller<F>(
     dev_cfg: &DeviceConfig,
     app: &mut PhasedApp,
-    profile: &ProfileTable,
-    target: f64,
+    spec: &PolicySpec,
     tweak: F,
 ) -> DefaultMeasurement
 where
-    F: Fn(ControllerBuilder) -> ControllerBuilder + Copy,
+    F: Fn(ControllerBuilder) -> ControllerBuilder,
 {
-    let profile = profile.clone();
-    measure_fixed(dev_cfg, app, 1, DURATION_MS, move || {
-        let builder = tweak(ControllerBuilder::new(profile.clone()).target_gips(target));
-        let controller: EnergyController = builder.build();
-        vec![
-            Box::new(AdrenoTz::default()) as Box<dyn Policy>,
-            Box::new(controller),
-        ]
+    measure_fixed(dev_cfg, app, 1, DURATION_MS, || {
+        let controller = tweak(spec.builder(ControllerBuilder::DEFAULT_SEED)).build();
+        spec.stack_with(controller).into_policies()
     })
 }
 
@@ -61,6 +55,7 @@ fn main() {
     };
     let profile = profile_app(&dev_cfg, &mut a, &opts);
     let default = measure_default(&dev_cfg, &mut a, 1, DURATION_MS);
+    let spec = PolicySpec::new(profile, default.gips);
     println!(
         "AngryBirds, default: {:.1} J at {:.3} GIPS\n",
         default.energy_j, default.gips
@@ -69,33 +64,25 @@ fn main() {
 
     println!("-- control cycle duration (paper: 2000 ms) --");
     for period in [500u64, 1_000, 2_000, 4_000] {
-        let m = run_controller(&dev_cfg, &mut a, &profile, default.gips, |b| {
-            b.period_ms(period)
-        });
+        let m = run_controller(&dev_cfg, &mut a, &spec, |b| b.period_ms(period));
         row(&format!("T = {period} ms"), &default, &m);
     }
 
     println!("-- minimum dwell (paper: 200 ms) --");
     for dwell in [50u64, 200, 500, 1_000] {
-        let m = run_controller(&dev_cfg, &mut a, &profile, default.gips, |b| {
-            b.min_dwell_ms(dwell)
-        });
+        let m = run_controller(&dev_cfg, &mut a, &spec, |b| b.min_dwell_ms(dwell));
         row(&format!("dwell = {dwell} ms"), &default, &m);
     }
 
     println!("-- integrator gain (deadbeat = 1.0) --");
     for gain in [0.3, 0.6, 1.0] {
-        let m = run_controller(&dev_cfg, &mut a, &profile, default.gips, move |b| {
-            b.gain(gain)
-        });
+        let m = run_controller(&dev_cfg, &mut a, &spec, move |b| b.gain(gain));
         row(&format!("gain = {gain}"), &default, &m);
     }
 
     println!("-- phase detection (paper §V-B) --");
     for detect in [false, true] {
-        let m = run_controller(&dev_cfg, &mut a, &profile, default.gips, move |b| {
-            b.phase_detection(detect)
-        });
+        let m = run_controller(&dev_cfg, &mut a, &spec, move |b| b.phase_detection(detect));
         row(&format!("phase detection = {detect}"), &default, &m);
     }
 
@@ -103,10 +90,10 @@ fn main() {
     for stride in [1usize, 2, 4] {
         let mut o = opts.clone();
         o.freq_stride = stride;
-        let p = profile_app(&dev_cfg, &mut a, &o);
-        let m = run_controller(&dev_cfg, &mut a, &p, default.gips, |b| b);
+        let spec = PolicySpec::new(profile_app(&dev_cfg, &mut a, &o), default.gips);
+        let m = run_controller(&dev_cfg, &mut a, &spec, |b| b);
         row(
-            &format!("stride = {stride} ({} cfgs)", p.len()),
+            &format!("stride = {stride} ({} cfgs)", spec.profile.len()),
             &default,
             &m,
         );
@@ -154,10 +141,10 @@ fn main() {
     for interp in [true, false] {
         let mut o = opts.clone();
         o.interpolate = interp;
-        let p = profile_app(&dev_cfg, &mut a, &o);
-        let m = run_controller(&dev_cfg, &mut a, &p, default.gips, |b| b);
+        let spec = PolicySpec::new(profile_app(&dev_cfg, &mut a, &o), default.gips);
+        let m = run_controller(&dev_cfg, &mut a, &spec, |b| b);
         row(
-            &format!("interpolate = {interp} ({} cfgs)", p.len()),
+            &format!("interpolate = {interp} ({} cfgs)", spec.profile.len()),
             &default,
             &m,
         );

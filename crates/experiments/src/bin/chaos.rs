@@ -19,16 +19,17 @@
 //! with cold restarts and once with warm (checkpoint) restarts — and
 //! the comparison lands in the same JSON under `"kill_matrix"`.
 
-use asgov_core::{ControllerBuilder, SupervisorConfig};
-use asgov_governors::AdrenoTz;
+use asgov_core::{ControllerBuilder, PolicySpec, SupervisorConfig};
+use asgov_obs::RingSink;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
 use asgov_soc::{
-    event, Device, DeviceConfig, FaultInjector, FaultKind, FaultPlan, HealthReport, Policy,
-    Workload as _,
+    Device, DeviceConfig, FaultInjector, FaultKind, FaultPlan, HealthReport, Workload as _,
 };
 use asgov_util::Json;
 use asgov_workloads::{apps, BackgroundLoad};
+use std::cell::RefCell;
 use std::path::{Path, PathBuf};
+use std::rc::Rc;
 
 fn repo_root() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("..").join("..")
@@ -123,6 +124,7 @@ fn run_kill_matrix(
         let mut app = ctor();
         let profile = profile_app(dev_cfg, &mut app, opts);
         let default = measure_default(dev_cfg, &mut app, 1, duration_ms);
+        let spec = PolicySpec::new(profile, default.gips);
         for kills in [1u64, 3] {
             for &seed in seeds {
                 for (mode, warm) in [("cold", false), ("warm", true)] {
@@ -131,15 +133,13 @@ fn run_kill_matrix(
                         warm,
                         ..SupervisorConfig::default()
                     };
-                    let report = asgov_experiments::harness::supervised_run(
-                        dev_cfg,
-                        &mut app,
-                        &profile,
-                        default.gips,
-                        duration_ms,
-                        Some(FaultInjector::new(plan, seed)),
-                        sup_cfg,
-                    );
+                    let mut device = Device::new(dev_cfg.clone());
+                    device.install_faults(FaultInjector::new(plan, seed));
+                    app.reset();
+                    let report = spec
+                        .clone()
+                        .supervised(ControllerBuilder::DEFAULT_SEED, sup_cfg)
+                        .run(&mut device, &mut app, duration_ms);
                     let health = report.health.expect("supervisor reports health");
                     assert!(
                         report.energy_j.is_finite() && report.avg_gips.is_finite(),
@@ -213,17 +213,15 @@ fn main() {
         "rec (cyc)"
     );
 
+    let spec = PolicySpec::new(profile, default.gips);
     let mut rows = Vec::new();
     for (name, plan) in fault_matrix(f_start, f_end) {
         let mut device = Device::new(dev_cfg.clone());
         device.install_faults(FaultInjector::new(plan, 0x5eed));
-        let mut controller = ControllerBuilder::new(profile.clone())
-            .target_gips(default.gips)
-            .build();
-        let mut gpu_gov = AdrenoTz::default();
         app.reset();
-        let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut controller];
-        let report = event::run(&mut device, &mut app, &mut policies, duration_ms);
+        let report =
+            spec.stack(ControllerBuilder::DEFAULT_SEED)
+                .run(&mut device, &mut app, duration_ms);
         let health = report.health.expect("controller reports health");
         assert!(
             report.energy_j.is_finite() && report.avg_gips.is_finite(),
@@ -325,15 +323,14 @@ fn main() {
         let plan = FaultPlan::new()
             .window_p(f_start, f_end, 0.8, FaultKind::SysfsBusy)
             .expect("valid window");
-        let (report, sink) = asgov_experiments::harness::traced_controller_run(
-            &dev_cfg,
-            &mut app,
-            &profile,
-            default.gips,
-            duration_ms,
-            4096,
-            Some(FaultInjector::new(plan, 0x5eed)),
-        );
+        let mut device = Device::new(dev_cfg.clone());
+        device.install_faults(FaultInjector::new(plan, 0x5eed));
+        let sink = Rc::new(RefCell::new(RingSink::new(4096)));
+        device.install_obs_sink(sink.clone());
+        app.reset();
+        let report =
+            spec.stack(ControllerBuilder::DEFAULT_SEED)
+                .run(&mut device, &mut app, duration_ms);
         let sink = sink.borrow();
         let trace_path = repo_root().join("CHAOS_trace.jsonl");
         std::fs::write(&trace_path, sink.to_jsonl()).expect("write chaos trace");

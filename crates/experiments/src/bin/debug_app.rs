@@ -1,9 +1,9 @@
 //! Diagnostic dump for one application (development aid).
 
-use asgov_core::ControllerBuilder;
+use asgov_core::{ControllerBuilder, PolicySpec};
 use asgov_experiments::render;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
-use asgov_soc::{event, Device, DeviceConfig, Workload as _};
+use asgov_soc::{Device, DeviceConfig, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad};
 
 fn main() {
@@ -52,13 +52,16 @@ fn main() {
         )
     );
 
-    let mut controller = ControllerBuilder::new(profile.clone())
-        .target_gips(default.gips)
+    let spec = PolicySpec::new(profile, default.gips);
+    let controller = spec
+        .builder(ControllerBuilder::DEFAULT_SEED)
         .keep_log(true)
         .build();
+    let mut stack = spec.stack_with(controller);
     let mut device = Device::new(dev_cfg.clone());
     app.reset();
-    let report = event::run(&mut device, &mut app, &mut [&mut controller], duration);
+    let report = stack.run(&mut device, &mut app, duration);
+    let controller = &stack.controller;
     println!(
         "CONTROLLER: gips={:.4} power={:.3} W energy={:.1} J dur={} ms",
         report.avg_gips, report.avg_power_w, report.energy_j, report.duration_ms

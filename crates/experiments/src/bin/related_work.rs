@@ -8,7 +8,7 @@
 //! heuristic search is inexact, and only the LP controller holds the
 //! target at minimum energy.
 
-use asgov_core::{ControllerBuilder, EnergyController, OptimizerStrategy};
+use asgov_core::{ControllerBuilder, OptimizerStrategy, PolicySpec};
 use asgov_experiments::harness::ExperimentOptions;
 use asgov_governors::{AdrenoTz, CpubwHwmon, MarCse, Schedutil};
 use asgov_profiler::{fit_mar_cse, measure_default, measure_fixed, profile_app};
@@ -61,21 +61,17 @@ fn main() {
     });
     rows.push(("MAR-CSE + cpubw_hwmon".into(), m.gips, m.energy_j));
 
+    let spec = PolicySpec::new(profile, default.gips);
     for (label, strategy) in [
         ("asgov (CoScale-style search)", OptimizerStrategy::Gradient),
         ("asgov (LP, the paper)", OptimizerStrategy::LinearProgram),
     ] {
-        let p = profile.clone();
-        let target = default.gips;
-        let m = measure_fixed(&dev_cfg, &mut app, opts.runs, duration, move || {
-            let c: EnergyController = ControllerBuilder::new(p.clone())
-                .target_gips(target)
+        let m = measure_fixed(&dev_cfg, &mut app, opts.runs, duration, || {
+            let controller = spec
+                .builder(ControllerBuilder::DEFAULT_SEED)
                 .optimizer_strategy(strategy)
                 .build();
-            vec![
-                Box::new(AdrenoTz::default()) as Box<dyn Policy>,
-                Box::new(c),
-            ]
+            spec.stack_with(controller).into_policies()
         });
         rows.push((label.into(), m.gips, m.energy_j));
     }

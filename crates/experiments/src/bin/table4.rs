@@ -1,12 +1,10 @@
 //! Table IV — controller performance and energy under baseline (BL),
 //! no-load (NL) and heavier-load (HL) conditions, profiling done at BL.
 
-use asgov_core::{ControllerBuilder, EnergyController};
-use asgov_experiments::harness::ExperimentOptions;
+use asgov_experiments::harness::{compare, compare_under_loads, Comparison, ExperimentOptions};
 use asgov_experiments::render::pct;
-use asgov_profiler::{measure_default, measure_fixed, profile_app};
-use asgov_soc::{DeviceConfig, Policy};
-use asgov_workloads::{AppKind, BackgroundLoad, LoadLevel, PhasedApp};
+use asgov_soc::DeviceConfig;
+use asgov_workloads::{BackgroundLoad, LoadLevel, PhasedApp};
 
 fn apps_under(load: &BackgroundLoad) -> Vec<PhasedApp> {
     asgov_workloads::paper_apps(load.clone())
@@ -27,49 +25,27 @@ fn main() {
         "Application", "perf BL", "perf NL", "perf HL", "en BL", "en NL", "en HL"
     );
 
-    // Profile & target once, under baseline load (the paper's setup).
-    // The per-app rows are independent, so they fan out across workers
-    // and print in app order once all are in.
+    // Profile & target once, under baseline load (the paper's setup):
+    // the BL leg is Table III's row, and the NL/HL legs re-run the same
+    // deployment under the other loads. The per-app rows are
+    // independent, so they fan out across workers and print in app
+    // order once all are in.
     let bl_apps = apps_under(&BackgroundLoad::baseline(1));
     let rows = asgov_util::par::ordered_map(
         bl_apps.len(),
         asgov_util::par::default_threads(bl_apps.len()),
         |idx| {
-            let mut bl_app = bl_apps[idx].clone();
-            let duration = opts.duration_ms.unwrap_or(bl_app.spec().test_duration_ms);
-            let deadline = matches!(bl_app.spec().kind, AppKind::Batch { .. });
-            let profile = profile_app(&dev_cfg, &mut bl_app, &opts.profile);
-            let target = measure_default(&dev_cfg, &mut bl_app, opts.runs, duration).gips;
-
-            let mut perf = Vec::new();
-            let mut energy = Vec::new();
-            for level in [LoadLevel::Baseline, LoadLevel::None, LoadLevel::Heavy] {
-                let load = BackgroundLoad::with_level(level, 1);
-                let mut app = apps_under(&load).remove(idx);
-                let default = measure_default(&dev_cfg, &mut app, opts.runs, duration);
-                let profile2 = profile.clone();
-                let controller = measure_fixed(&dev_cfg, &mut app, opts.runs, duration, || {
-                    let c: EnergyController = ControllerBuilder::new(profile2.clone())
-                        .target_gips(target)
-                        .target_margin(if deadline { 0.0 } else { 0.01 })
-                        .build();
-                    vec![Box::new(c) as Box<dyn Policy>]
-                });
-                let p = if deadline {
-                    (default.duration_ms - controller.duration_ms) / default.duration_ms * 100.0
-                } else {
-                    (controller.gips - default.gips) / default.gips * 100.0
-                };
-                perf.push(p);
-                energy.push((default.energy_j - controller.energy_j) / default.energy_j * 100.0);
-            }
-            (bl_app.spec().name, perf, energy)
+            let mut loaded = [LoadLevel::None, LoadLevel::Heavy]
+                .map(|level| apps_under(&BackgroundLoad::with_level(level, 1)).remove(idx));
+            compare_under_loads(&dev_cfg, &mut bl_apps[idx].clone(), &mut loaded, &opts)
         },
     );
-    for (name, perf, energy) in rows {
+    for legs in rows {
+        let perf: Vec<f64> = legs.iter().map(Comparison::performance_delta_pct).collect();
+        let energy: Vec<f64> = legs.iter().map(Comparison::energy_savings_pct).collect();
         println!(
             "{:<14} {:>9} {:>9} {:>9}   {:>9} {:>9} {:>9}",
-            name,
+            legs[0].app,
             pct(perf[0]),
             pct(perf[1]),
             pct(perf[2]),
@@ -79,35 +55,17 @@ fn main() {
         );
     }
     // The paper's §V-C re-profiling follow-up: MobileBench re-profiled
-    // for the NL case recovers to 11.1% savings with no perf loss.
+    // for the NL case recovers to 11.1% savings with no perf loss —
+    // Table III's procedure run under NL.
     println!("\n-- §V-C follow-up: re-profiling for the runtime load --");
-    {
-        let nl = BackgroundLoad::with_level(LoadLevel::None, 1);
-        let mut app = apps_under(&nl).remove(1); // MobileBench
-        let duration = opts.duration_ms.unwrap_or(app.spec().test_duration_ms);
-        let deadline = matches!(app.spec().kind, AppKind::Batch { .. });
-        let profile = profile_app(&dev_cfg, &mut app, &opts.profile);
-        let target = measure_default(&dev_cfg, &mut app, opts.runs, duration).gips;
-        let default = measure_default(&dev_cfg, &mut app, opts.runs, duration);
-        let controller = measure_fixed(&dev_cfg, &mut app, opts.runs, duration, || {
-            let c: EnergyController = ControllerBuilder::new(profile.clone())
-                .target_gips(target)
-                .target_margin(if deadline { 0.0 } else { 0.01 })
-                .build();
-            vec![Box::new(c) as Box<dyn Policy>]
-        });
-        let p = if deadline {
-            (default.duration_ms - controller.duration_ms) / default.duration_ms * 100.0
-        } else {
-            (controller.gips - default.gips) / default.gips * 100.0
-        };
-        let e = (default.energy_j - controller.energy_j) / default.energy_j * 100.0;
-        println!(
-            "MobileBench re-profiled at NL: perf {}, energy {}   (paper: 0%, 11.1%)",
-            pct(p),
-            pct(e)
-        );
-    }
+    let nl = BackgroundLoad::with_level(LoadLevel::None, 1);
+    let mut app = apps_under(&nl).remove(1); // MobileBench
+    let c = compare(&dev_cfg, &mut app, &opts);
+    println!(
+        "MobileBench re-profiled at NL: perf {}, energy {}   (paper: 0%, 11.1%)",
+        pct(c.performance_delta_pct()),
+        pct(c.energy_savings_pct())
+    );
 
     println!("\nPaper (perf BL/NL/HL, energy BL/NL/HL):");
     println!("VidCon +0.8/+0.2/-8.0, 25.3/28.0/11.4 | MobileBench +4.0/-3.5/-2.0, 15.3/-4.9/4.6");

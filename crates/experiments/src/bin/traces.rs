@@ -5,7 +5,7 @@
 //! Run: `cargo run --release -p asgov-experiments --bin traces [--app NAME]`
 //! Writes `results/<app>_{default,controller}_{series,events}.csv`.
 
-use asgov_core::ControllerBuilder;
+use asgov_core::{ControllerBuilder, PolicySpec};
 use asgov_experiments::render::csv;
 use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
@@ -74,14 +74,8 @@ fn main() {
     };
     let profile = profile_app(&dev_cfg, &mut app, &opts);
     let target = measure_default(&dev_cfg, &mut app, 1, duration).gips;
-    let mut controller = ControllerBuilder::new(profile).target_gips(target).build();
-    let mut gpu = AdrenoTz::default();
-    let (series, events) = series_and_events(
-        &dev_cfg,
-        &mut app,
-        &mut [&mut gpu, &mut controller],
-        duration,
-    );
+    let mut stack = PolicySpec::new(profile, target).stack(ControllerBuilder::DEFAULT_SEED);
+    let (series, events) = series_and_events(&dev_cfg, &mut app, &mut stack.policies(), duration);
     std::fs::write(format!("results/{app_name}_controller_series.csv"), series).unwrap();
     std::fs::write(format!("results/{app_name}_controller_events.csv"), events).unwrap();
 

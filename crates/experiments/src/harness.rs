@@ -2,17 +2,13 @@
 //! baseline, run the controller, and compare — the procedure behind
 //! Tables III, IV and V.
 
-use asgov_core::{ControlMode, ControllerBuilder, EnergyController, Supervisor, SupervisorConfig};
-use asgov_governors::{AdrenoTz, CpubwHwmon};
-use asgov_obs::RingSink;
+use asgov_core::{ControlMode, PolicySpec, TargetMargin};
 use asgov_profiler::{
     measure_default, measure_fixed, profile_app, DefaultMeasurement, ProfileOptions, ProfileTable,
 };
 use asgov_soc::sim::RunReport;
-use asgov_soc::{event, Device, DeviceConfig, FaultInjector, Policy, Workload as _};
+use asgov_soc::DeviceConfig;
 use asgov_workloads::{AppKind, PhasedApp};
-use std::cell::RefCell;
-use std::rc::Rc;
 
 /// Outcome of one app's default-vs-controller comparison.
 #[derive(Debug, Clone)]
@@ -151,39 +147,6 @@ impl ExperimentOptions {
     }
 }
 
-/// Build the controller policy stack for the given mode.
-///
-/// Deadline-critical (batch) applications get a zero target margin: for
-/// them the figure of merit is completion time, and any slack directly
-/// lengthens the run.
-fn controller_stack(
-    profile: &ProfileTable,
-    target_gips: f64,
-    mode: ControlMode,
-    deadline_based: bool,
-    run: usize,
-) -> Vec<Box<dyn Policy>> {
-    let controller: EnergyController = ControllerBuilder::new(profile.clone())
-        .target_gips(target_gips)
-        .target_margin(if deadline_based { 0.0 } else { 0.01 })
-        .mode(mode)
-        .seed(0xc0de + run as u64)
-        .build();
-    // The stock GPU governor runs in every configuration (the GPU is
-    // not part of the paper's controlled configuration).
-    match mode {
-        ControlMode::Coordinated => vec![
-            Box::new(AdrenoTz::default()) as Box<dyn Policy>,
-            Box::new(controller),
-        ],
-        ControlMode::CpuOnly => vec![
-            Box::new(CpubwHwmon::default()) as Box<dyn Policy>,
-            Box::new(AdrenoTz::default()),
-            Box::new(controller),
-        ],
-    }
-}
-
 /// Profile `app`, measure the default baseline and the controller, and
 /// return the comparison. This is one row of Table III (or V with
 /// `mode = CpuOnly`).
@@ -192,27 +155,62 @@ pub fn compare(
     app: &mut PhasedApp,
     opts: &ExperimentOptions,
 ) -> Comparison {
-    let duration = opts.duration_ms.unwrap_or(app.spec().test_duration_ms);
-    let deadline_based = matches!(app.spec().kind, AppKind::Batch { .. });
+    compare_under_loads(dev_cfg, app, &mut [], opts).swap_remove(0)
+}
 
+/// One row of Table IV: [`compare`] under `app`'s own load, then the
+/// same deployment — profile and target from that load — against each
+/// of `loaded`, the same app under other background loads.
+pub fn compare_under_loads(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    loaded: &mut [PhasedApp],
+    opts: &ExperimentOptions,
+) -> Vec<Comparison> {
     let profile = profile_app_for_mode(dev_cfg, app, opts);
-    let default = measure_default(dev_cfg, app, opts.runs, duration);
-    let target = default.gips;
+    let default = measure_default(dev_cfg, app, opts.runs, duration_ms(app, opts));
+    let spec = PolicySpec {
+        margin: TargetMargin::for_app(deadline_based(app)),
+        mode: opts.mode,
+        ..PolicySpec::new(profile, default.gips)
+    };
+    let mut rows = vec![controller_leg(dev_cfg, app, &spec, default, opts)];
+    for other in loaded {
+        let default = measure_default(dev_cfg, other, opts.runs, duration_ms(other, opts));
+        rows.push(controller_leg(dev_cfg, other, &spec, default, opts));
+    }
+    rows
+}
 
-    let profile_for_ctrl = profile.clone();
-    let mode = opts.mode;
-    let mut run_idx = 0;
-    let controller = measure_fixed(dev_cfg, app, opts.runs, duration, || {
-        run_idx += 1;
-        controller_stack(&profile_for_ctrl, target, mode, deadline_based, run_idx)
+fn duration_ms(app: &PhasedApp, opts: &ExperimentOptions) -> u64 {
+    opts.duration_ms.unwrap_or(app.spec().test_duration_ms)
+}
+
+/// Whether the app's figure of merit is completion time.
+fn deadline_based(app: &PhasedApp) -> bool {
+    matches!(app.spec().kind, AppKind::Batch { .. })
+}
+
+/// Measure `spec`'s stack on `app` against `default`. Run `i` (from 1)
+/// seeds the controller's perf noise with `0xc0de + i`.
+fn controller_leg(
+    dev_cfg: &DeviceConfig,
+    app: &mut PhasedApp,
+    spec: &PolicySpec,
+    default: DefaultMeasurement,
+    opts: &ExperimentOptions,
+) -> Comparison {
+    let mut run = 0;
+    let controller = measure_fixed(dev_cfg, app, opts.runs, duration_ms(app, opts), || {
+        run += 1;
+        spec.stack(0xc0de + run).into_policies()
     });
-
     Comparison {
         app: app.spec().name.to_string(),
-        profile,
+        profile: spec.profile.clone(),
         default,
         controller,
-        deadline_based,
+        deadline_based: deadline_based(app),
     }
 }
 
@@ -259,79 +257,55 @@ pub fn default_run(dev_cfg: &DeviceConfig, app: &mut PhasedApp, duration_ms: u64
     m.reports.into_iter().next().expect("one run requested")
 }
 
-/// Run the controller once with a [`RingSink`] installed on the device
-/// (optionally under an injected fault plan), returning the run report
-/// and the sink with the per-cycle trace and aggregated metrics.
-///
-/// This is the traced twin of the controller leg of [`compare`]: same
-/// policy stack (stock GPU governor + coordinated controller), same
-/// seeding discipline.
-pub fn traced_controller_run(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    profile: &ProfileTable,
-    target_gips: f64,
-    duration_ms: u64,
-    capacity: usize,
-    faults: Option<FaultInjector>,
-) -> (RunReport, Rc<RefCell<RingSink>>) {
-    let mut controller = ControllerBuilder::new(profile.clone())
-        .target_gips(target_gips)
-        .build();
-    let mut gpu_gov = AdrenoTz::default();
-    let mut device = Device::new(dev_cfg.clone());
-    if let Some(injector) = faults {
-        device.install_faults(injector);
-    }
-    let sink = Rc::new(RefCell::new(RingSink::new(capacity)));
-    device.install_obs_sink(sink.clone());
-    app.reset();
-    let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut controller];
-    let report = event::run(&mut device, app, &mut policies, duration_ms);
-    (report, sink)
-}
-
-/// Run the controller under a [`Supervisor`] (optionally with an
-/// injected fault plan), returning the run report. Same policy stack
-/// and seeding discipline as [`traced_controller_run`]; the report's
-/// health carries the supervisor's restart/downtime/recovery counters.
-///
-/// This is the leg behind the chaos binary's kill matrix: the fault
-/// plan injects controller kills, the supervisor brings the controller
-/// back (cold or warm per `sup_cfg.warm`), and the report shows what
-/// the outage cost.
-pub fn supervised_run(
-    dev_cfg: &DeviceConfig,
-    app: &mut PhasedApp,
-    profile: &ProfileTable,
-    target_gips: f64,
-    duration_ms: u64,
-    faults: Option<FaultInjector>,
-    sup_cfg: SupervisorConfig,
-) -> RunReport {
-    let factory_profile = profile.clone();
-    let mut supervisor = Supervisor::new(
-        move || {
-            ControllerBuilder::new(factory_profile.clone())
-                .target_gips(target_gips)
-                .build()
-        },
-        sup_cfg,
-    );
-    let mut gpu_gov = AdrenoTz::default();
-    let mut device = Device::new(dev_cfg.clone());
-    if let Some(injector) = faults {
-        device.install_faults(injector);
-    }
-    app.reset();
-    let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut supervisor];
-    event::run(&mut device, app, &mut policies, duration_ms)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use asgov_workloads::{apps, BackgroundLoad};
+    use asgov_workloads::{apps, BackgroundLoad, LoadLevel};
+
+    fn assert_same_bits(a: &DefaultMeasurement, b: &DefaultMeasurement) {
+        assert_eq!(a.reports.len(), b.reports.len());
+        for (x, y) in [
+            (a.gips, b.gips),
+            (a.power_w, b.power_w),
+            (a.duration_ms, b.duration_ms),
+            (a.energy_j, b.energy_j),
+        ] {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        }
+    }
+
+    /// Table IV's baseline-load leg must be Table III's row bit for
+    /// bit: the same stack (stock GPU governor included), margin and
+    /// per-run seeds. Its controller leg once dropped `msm-adreno-tz`
+    /// and the per-run seeds, and the BL columns of the two tables
+    /// disagreed.
+    #[test]
+    fn load_sensitivity_baseline_leg_is_the_compare_row() {
+        let dev_cfg = DeviceConfig::nexus6();
+        let opts = ExperimentOptions {
+            profile: ProfileOptions {
+                runs_per_config: 1,
+                run_ms: 3_000,
+                freq_stride: 4,
+                interpolate: true,
+            },
+            runs: 2,
+            duration_ms: Some(8_000),
+            mode: ControlMode::Coordinated,
+        };
+        let app = apps::angrybirds(BackgroundLoad::baseline(1));
+        let mut loaded = [apps::angrybirds(BackgroundLoad::with_level(
+            LoadLevel::None,
+            1,
+        ))];
+        let rows = compare_under_loads(&dev_cfg, &mut app.clone(), &mut loaded, &opts);
+        let row = compare(&dev_cfg, &mut app.clone(), &opts);
+        assert_eq!(rows.len(), 2);
+        assert_same_bits(&rows[0].default, &row.default);
+        assert_same_bits(&rows[0].controller, &row.controller);
+        assert_eq!(rows[1].app, row.app);
+        assert!(rows[1].controller.energy_j > 0.0);
+    }
 
     /// Regression: a baseline leg that measured nothing (the outcome of
     /// a whole-run perf dropout, reproduced here by a zero-length

@@ -1,7 +1,8 @@
 //! Shard execution: one shard-epoch runs every online device in the
 //! shard's id range for `epoch_ms`, warm-migrating controller state
-//! from the previous epoch through [`Supervisor::migrate_in`] /
-//! [`Supervisor::migrate_out`].
+//! from the previous epoch through
+//! [`asgov_core::Supervisor::migrate_in`] /
+//! [`asgov_core::Supervisor::migrate_out`].
 //!
 //! A shard's state is struct-of-arrays and `Send`-only: serialized
 //! controller snapshots, never live `Device`s (a `Device` holds
@@ -11,11 +12,8 @@
 use crate::report::{app_stream, fault_stream, EpochStats};
 use crate::spec::{DeviceSpec, FleetConfig, FleetError};
 use crate::store::PolicyStore;
-use asgov_core::{
-    ControllerBuilder, SnapshotError, SnapshotReader, SnapshotWriter, Supervisor, SupervisorConfig,
-};
-use asgov_governors::AdrenoTz;
-use asgov_soc::{event, Device, DeviceConfig, Policy, Workload as _};
+use asgov_core::{SnapshotError, SnapshotReader, SnapshotWriter, SupervisorConfig};
+use asgov_soc::{Device, DeviceConfig, Workload as _};
 use asgov_util::Rng;
 use asgov_workloads::BackgroundLoad;
 
@@ -160,30 +158,17 @@ pub fn run_epoch_into(
             device.install_faults(injector);
         }
 
-        let factory_profile = policy.profile.clone();
-        let target = policy.target_gips;
-        let mut supervisor = Supervisor::new(
-            move || {
-                ControllerBuilder::new(factory_profile.clone())
-                    .target_gips(target)
-                    .seed(epoch_seed)
-                    .build()
-            },
-            supervisor_config(),
-        );
+        let mut stack = policy.spec().supervised(epoch_seed, supervisor_config());
         // Move the carried snapshot out of its slot — the successor
         // snapshot is written back below, so nothing is cloned.
         let carried = state.snapshots.get_mut(i as usize).and_then(Option::take);
         if let Some(snapshot) = carried {
-            supervisor.migrate_in(snapshot);
+            stack.controller.migrate_in(snapshot);
         }
 
-        let mut gpu_gov = AdrenoTz::default();
         app.reset();
-        let report = {
-            let mut policies: [&mut dyn Policy; 2] = [&mut gpu_gov, &mut supervisor];
-            event::run(&mut device, &mut app, &mut policies, cfg.epoch_ms)
-        };
+        let report = stack.run(&mut device, &mut app, cfg.epoch_ms);
+        let supervisor = &mut stack.controller;
         if let Some(slot) = state.snapshots.get_mut(i as usize) {
             *slot = supervisor.migrate_out(device.now_ms());
         }
