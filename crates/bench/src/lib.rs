@@ -102,26 +102,71 @@ pub fn bench<F: FnMut()>(name: &str, cfg: &BenchConfig, mut f: F) -> BenchResult
     for _ in 0..cfg.warmup_iters {
         f();
     }
-    let mut per_iter_ns: Vec<f64> = (0..cfg.samples)
-        .map(|_| {
-            let t0 = Instant::now();
-            for _ in 0..cfg.inner {
-                f();
-            }
-            t0.elapsed().as_nanos() as f64 / cfg.inner as f64
-        })
-        .collect();
+    let per_iter_ns = (0..cfg.samples).map(|_| sample_ns(cfg, &mut f)).collect();
+    summarize(name, cfg, per_iter_ns)
+}
+
+/// Time `a` and `b` as an interleaved pair: each of the `cfg.samples`
+/// rounds takes one sample of `a`, then one of `b`, so drift in host
+/// load reaches both alike. Returns both results and the per-round
+/// ratios `b / a`, sorted ascending — the paired estimate of what `b`
+/// costs over `a`, with its spread.
+///
+/// # Panics
+///
+/// Panics if the plan has zero samples or zero inner iterations.
+pub fn bench_paired<A: FnMut(), B: FnMut()>(
+    (name_a, name_b): (&str, &str),
+    cfg: &BenchConfig,
+    mut a: A,
+    mut b: B,
+) -> (BenchResult, BenchResult, Vec<f64>) {
+    assert!(cfg.samples > 0 && cfg.inner > 0, "empty sampling plan");
+    for _ in 0..cfg.warmup_iters {
+        a();
+        b();
+    }
+    let (a_ns, b_ns): (Vec<f64>, Vec<f64>) = (0..cfg.samples)
+        .map(|_| (sample_ns(cfg, &mut a), sample_ns(cfg, &mut b)))
+        .unzip();
+    let mut ratios: Vec<f64> = a_ns.iter().zip(&b_ns).map(|(a, b)| b / a).collect();
+    ratios.sort_by(f64::total_cmp);
+    (
+        summarize(name_a, cfg, a_ns),
+        summarize(name_b, cfg, b_ns),
+        ratios,
+    )
+}
+
+/// The `q`-quantile (0..=1) of ascending `sorted` by nearest rank.
+///
+/// # Panics
+///
+/// Panics if `sorted` is empty.
+pub fn nearest_rank(sorted: &[f64], q: f64) -> f64 {
+    let n = sorted.len();
+    sorted[(((n as f64) * q).ceil() as usize).clamp(1, n) - 1]
+}
+
+/// One timed sample: `cfg.inner` calls of `f`, ns per call.
+fn sample_ns<F: FnMut()>(cfg: &BenchConfig, f: &mut F) -> f64 {
+    let t0 = Instant::now();
+    for _ in 0..cfg.inner {
+        f();
+    }
+    t0.elapsed().as_nanos() as f64 / cfg.inner as f64
+}
+
+fn summarize(name: &str, cfg: &BenchConfig, mut per_iter_ns: Vec<f64>) -> BenchResult {
     per_iter_ns.sort_by(f64::total_cmp);
-    let n = per_iter_ns.len();
-    let pick = |q: f64| per_iter_ns[(((n as f64) * q).ceil() as usize).clamp(1, n) - 1];
     BenchResult {
         name: name.to_string(),
         samples: cfg.samples,
         inner: cfg.inner,
         min_ns: per_iter_ns[0],
-        median_ns: pick(0.5),
-        p95_ns: pick(0.95),
-        mean_ns: per_iter_ns.iter().sum::<f64>() / n as f64,
+        median_ns: nearest_rank(&per_iter_ns, 0.5),
+        p95_ns: nearest_rank(&per_iter_ns, 0.95),
+        mean_ns: per_iter_ns.iter().sum::<f64>() / per_iter_ns.len() as f64,
     }
 }
 
@@ -221,6 +266,46 @@ mod tests {
         let j = r.to_json();
         assert_eq!(j.get("name").and_then(Json::as_str), Some("spin"));
         assert!(j.get("median_ns").and_then(Json::as_f64).unwrap() > 0.0);
+    }
+
+    #[test]
+    fn paired_bench_interleaves_and_reports_ratios() {
+        let cfg = BenchConfig {
+            warmup_iters: 1,
+            samples: 7,
+            inner: 2,
+        };
+        let order = std::cell::RefCell::new(String::new());
+        let (a, b, ratios) = bench_paired(
+            ("cheap", "dear"),
+            &cfg,
+            || {
+                order.borrow_mut().push('a');
+                std::hint::black_box((0..100).sum::<u64>());
+            },
+            || {
+                order.borrow_mut().push('b');
+                std::hint::black_box((0..10_000).sum::<u64>());
+            },
+        );
+        // Warmup pair, then one sample of each per round.
+        let expect: String =
+            "ab".to_string() + &(0..cfg.samples).map(|_| "aabb").collect::<String>();
+        assert_eq!(order.into_inner(), expect);
+        assert_eq!((a.name.as_str(), b.name.as_str()), ("cheap", "dear"));
+        assert_eq!((a.samples, b.samples, ratios.len()), (7, 7, 7));
+        assert!(ratios.windows(2).all(|w| w[0] <= w[1]), "sorted");
+        assert!(ratios.iter().all(|r| r.is_finite() && *r > 0.0));
+    }
+
+    #[test]
+    fn nearest_rank_picks_order_statistics() {
+        let v = [1.0, 2.0, 3.0, 4.0];
+        assert_eq!(nearest_rank(&v, 0.0), 1.0);
+        assert_eq!(nearest_rank(&v, 0.25), 1.0);
+        assert_eq!(nearest_rank(&v, 0.5), 2.0);
+        assert_eq!(nearest_rank(&v, 0.75), 3.0);
+        assert_eq!(nearest_rank(&v, 1.0), 4.0);
     }
 
     #[test]

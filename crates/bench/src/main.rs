@@ -2,7 +2,10 @@
 //! `simulator`), each written as `BENCH_<suite>.json` at the repository
 //! root. `--quick` shrinks the sampling plan for CI smoke runs.
 
-use asgov_bench::{bench, suite_report, synthetic_profile, synthetic_table, BenchConfig};
+use asgov_bench::{
+    bench, bench_paired, nearest_rank, suite_report, synthetic_profile, synthetic_table,
+    BenchConfig,
+};
 use asgov_control::{AdaptiveIntegrator, KalmanFilter};
 use asgov_core::{EnergyOptimizer, PolicySpec};
 use asgov_governors::{AdrenoTz, CpubwHwmon};
@@ -149,44 +152,39 @@ fn controller_suite(quick: bool) -> Json {
         samples: if quick { 5 } else { 15 },
         inner: 1,
     };
-    let r = bench(&format!("controller_run/{sim_ms}ms"), &run_cfg, || {
+    // The same closed loop with and without the observability sink
+    // installed, as an interleaved paired A/B: each round runs both, so
+    // host-load drift cancels in the per-round ratio. The ratio is the
+    // tracing overhead budget (acceptance: < 5 % per cycle).
+    let closed_loop = |sink: Option<Rc<RefCell<RingSink>>>| {
         let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = apps::spotify(BackgroundLoad::baseline(1));
         let mut stack = PolicySpec::new(table.clone(), 0.5).stack(0xc0de);
+        if let Some(sink) = &sink {
+            device.install_obs_sink(sink.clone());
+        }
         black_box(sim::run(
             &mut device,
             &mut app,
             &mut stack.policies(),
             sim_ms,
         ));
-    });
-    let ns_per_sim_ms = r.median_ns / sim_ms as f64;
-    let untraced_median_ns = r.median_ns;
-    results.push(r);
-
-    // The same closed loop with the observability sink installed: the
-    // delta against the untraced run is the tracing overhead budget
-    // (acceptance: < 5 % per cycle).
-    let r = bench(
-        &format!("controller_run_traced/{sim_ms}ms"),
+        black_box(sink.map(|s| s.borrow().ring().len()));
+    };
+    let (untraced, traced, ratios) = bench_paired(
+        (
+            &format!("controller_run/{sim_ms}ms"),
+            &format!("controller_run_traced/{sim_ms}ms"),
+        ),
         &run_cfg,
-        || {
-            let mut device = Device::new(DeviceConfig::nexus6());
-            let mut app = apps::spotify(BackgroundLoad::baseline(1));
-            let mut stack = PolicySpec::new(table.clone(), 0.5).stack(0xc0de);
-            let sink = Rc::new(RefCell::new(RingSink::new(4096)));
-            device.install_obs_sink(sink.clone());
-            black_box(sim::run(
-                &mut device,
-                &mut app,
-                &mut stack.policies(),
-                sim_ms,
-            ));
-            black_box(sink.borrow().ring().len());
-        },
+        || closed_loop(None),
+        || closed_loop(Some(Rc::new(RefCell::new(RingSink::new(4096))))),
     );
-    let traced_median_ns = r.median_ns;
-    results.push(r);
+    let ns_per_sim_ms = untraced.median_ns / sim_ms as f64;
+    let untraced_median_ns = untraced.median_ns;
+    let traced_median_ns = traced.median_ns;
+    results.push(untraced);
+    results.push(traced);
 
     // The sink's record path in isolation.
     let mut sink = RingSink::new(4096);
@@ -208,12 +206,14 @@ fn controller_suite(quick: bool) -> Json {
 
     let mut derived = Json::object();
     derived.set("controller_run_ns_per_sim_ms", ns_per_sim_ms);
-    // A faster traced run than untraced run is measurement noise, not a
-    // negative overhead: clamp at zero so the report never carries a
-    // nonsensical negative percentage.
-    let trace_overhead_pct =
-        ((traced_median_ns - untraced_median_ns) / untraced_median_ns * 100.0).max(0.0);
+    // Signed: a negative median says the overhead is below the noise,
+    // and the quartiles say how wide that noise is.
+    let overhead_pct = |q: f64| (nearest_rank(&ratios, q) - 1.0) * 100.0;
+    let trace_overhead_pct = overhead_pct(0.5);
     derived.set("trace_overhead_pct", trace_overhead_pct);
+    derived.set("trace_overhead_p25_pct", overhead_pct(0.25));
+    derived.set("trace_overhead_p75_pct", overhead_pct(0.75));
+    derived.set("trace_overhead_pairs", ratios.len());
     derived.set("controller_run_traced_median_ns", traced_median_ns);
     derived.set("controller_run_untraced_median_ns", untraced_median_ns);
     // Fail loudly only on a genuine budget violation (§V-A1 acceptance:

@@ -146,15 +146,15 @@ pub fn run(cmd: Command) -> Result<()> {
                 },
                 ..PolicySpec::new(table, target)
             };
-            let controller = spec
-                .builder(ControllerBuilder::DEFAULT_SEED)
-                .keep_log(true)
-                .build();
-            let mut stack = spec.stack_with(controller);
+            let mut stack = spec.stack(ControllerBuilder::DEFAULT_SEED);
             let mut device = Device::new(dev_cfg);
+            // One record per 2 s control cycle: the ring holds the run.
+            let sink = Rc::new(RefCell::new(RingSink::new(duration_s as usize / 2 + 1)));
+            device.install_obs_sink(sink.clone());
             a.reset();
             let report = stack.run(&mut device, &mut a, duration_s * 1000);
             let controller = &stack.controller;
+            let sink = sink.borrow();
 
             println!("{app} under the asgov controller (target {target:.4} GIPS, {load}):");
             println!("  achieved = {:.4} GIPS", report.avg_gips);
@@ -167,16 +167,16 @@ pub fn run(cmd: Command) -> Result<()> {
             println!(
                 "  base-speed estimate = {:.4} GIPS, {} control cycles, {} actuation failures",
                 controller.base_estimate(),
-                controller.cycle_log().len(),
+                sink.metrics().cycles,
                 controller.actuation_failures()
             );
             if let Some(health) = report.health {
                 println!("  health   = {}", health.summary());
             }
-            let faults: Vec<_> = controller
-                .cycle_log()
+            let faults: Vec<_> = sink
+                .records()
                 .iter()
-                .filter_map(|c| c.actuation_fault.map(|k| (c.t_ms, k)))
+                .filter_map(|c| c.fault.map(|k| (c.t_ms, k)))
                 .collect();
             if !faults.is_empty() {
                 println!("  actuation faults by cycle:");

@@ -99,6 +99,59 @@ fn profile_then_control_round_trip() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `control` stdout, line for line: the achieved figures and the
+/// control-cycle count (read from the installed trace sink) for
+/// Spotify under coordinated and CPU-only control at a fixed target,
+/// then under heavy load at the measured default target. The golden
+/// text was printed by the binary when the cycle count still came from
+/// the controller's own cycle log.
+#[test]
+fn control_stdout_matches_golden() {
+    let dir = std::env::temp_dir().join("asgov_cli_control_golden");
+    std::fs::create_dir_all(&dir).unwrap();
+    let profile_path = dir.join("spotify.tsv");
+    let profile = profile_path.to_str().unwrap();
+    let out = asgov()
+        .args([
+            "profile",
+            "--app",
+            "Spotify",
+            "--runs",
+            "1",
+            "--window-s",
+            "4",
+            "--stride",
+            "4",
+            "--out",
+            profile,
+        ])
+        .output()
+        .expect("run profile");
+    assert!(out.status.success());
+
+    let base = ["control", "--app", "Spotify", "--profile", profile];
+    let mut stdout = String::new();
+    for extra in [
+        &["--target", "0.11", "--duration-s", "10"][..],
+        &["--target", "0.11", "--duration-s", "10", "--cpu-only"],
+        &["--duration-s", "10", "--load", "HL"],
+    ] {
+        let out = asgov()
+            .args(base)
+            .args(extra)
+            .output()
+            .expect("run control");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        stdout.push_str(&String::from_utf8_lossy(&out.stdout));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(stdout, include_str!("control_golden.txt"));
+}
+
 /// `compare` is `harness::compare`: its printed row is the library's
 /// comparison at `ExperimentOptions::quick()` with the requested run
 /// length, to the printed precision. VidCon is deadline-based, so the

@@ -117,7 +117,7 @@ fn stock_governors(mode: ControlMode) -> Vec<Box<dyn Policy>> {
 }
 
 /// A deployed stack: the stock governors, then the controller (or its
-/// supervisor), which stays reachable after a run for its cycle log,
+/// supervisor), which stays reachable after a run for its health,
 /// migration snapshot and restart counters.
 pub struct ControllerStack<P> {
     stock: Vec<Box<dyn Policy>>,

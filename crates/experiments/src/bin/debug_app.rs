@@ -2,9 +2,12 @@
 
 use asgov_core::{ControllerBuilder, PolicySpec};
 use asgov_experiments::render;
+use asgov_obs::RingSink;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
-use asgov_soc::{Device, DeviceConfig, Workload as _};
+use asgov_soc::{BwIndex, Device, DeviceConfig, FreqIndex, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn main() {
     let name = std::env::args()
@@ -52,13 +55,11 @@ fn main() {
         )
     );
 
-    let spec = PolicySpec::new(profile, default.gips);
-    let controller = spec
-        .builder(ControllerBuilder::DEFAULT_SEED)
-        .keep_log(true)
-        .build();
-    let mut stack = spec.stack_with(controller);
+    let mut stack = PolicySpec::new(profile, default.gips).stack(ControllerBuilder::DEFAULT_SEED);
     let mut device = Device::new(dev_cfg.clone());
+    // One record per 2 s control cycle: the ring holds the run.
+    let sink = Rc::new(RefCell::new(RingSink::new((duration / 2_000 + 1) as usize)));
+    device.install_obs_sink(sink.clone());
     app.reset();
     let report = stack.run(&mut device, &mut app, duration);
     let controller = &stack.controller;
@@ -88,18 +89,18 @@ fn main() {
         (report.avg_gips - default.gips) / default.gips * 100.0
     );
     println!("\nCYCLE LOG (target {:.4}):", controller.target_gips());
-    for c in controller.cycle_log() {
+    for c in sink.borrow().records() {
         println!(
             "t={:>6} y={:.4} b={:.4} s={:.3} c_l=({},{}) c_h=({},{}) tau_l={:.2}",
             c.t_ms,
             c.measured_gips,
             c.base_estimate,
             c.required_speedup,
-            c.lower.freq,
-            c.lower.bw,
-            c.upper.freq,
-            c.upper.bw,
-            c.tau_lower_s
+            FreqIndex(c.lower.0 as usize),
+            BwIndex(c.lower.1 as usize),
+            FreqIndex(c.upper.0 as usize),
+            BwIndex(c.upper.1 as usize),
+            c.tau_lower_ms as f64 * 1e-3
         );
     }
 }

@@ -5,9 +5,12 @@
 //! control cycle, which component produced which quantity.
 
 use asgov_core::ControllerBuilder;
-use asgov_profiler::{measure_default, profile_app, ProfileOptions};
-use asgov_soc::{event, Device, DeviceConfig, Workload as _};
+use asgov_obs::RingSink;
+use asgov_profiler::{measure_default, profile_app, Config, ProfileOptions};
+use asgov_soc::{event, BwIndex, Device, DeviceConfig, FreqIndex, Workload as _};
 use asgov_workloads::{apps, BackgroundLoad};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const DIAGRAM: &str = r#"
             r (target GIPS)
@@ -42,26 +45,26 @@ fn main() {
         },
     );
     let target = measure_default(&dev_cfg, &mut app, 1, 20_000).gips;
-    let mut controller = ControllerBuilder::new(profile)
-        .target_gips(target)
-        .keep_log(true)
-        .build();
+    let mut controller = ControllerBuilder::new(profile).target_gips(target).build();
     let mut device = Device::new(dev_cfg);
+    let sink = Rc::new(RefCell::new(RingSink::new(16)));
+    device.install_obs_sink(sink.clone());
     app.reset();
     event::run(&mut device, &mut app, &mut [&mut controller], 10_000);
 
+    let config = |(f, bw): (u32, u32)| Config::new(FreqIndex(f as usize), BwIndex(bw as usize));
     println!("one live run, r = {target:.4} GIPS; per-cycle quantities:");
-    for c in controller.cycle_log() {
+    for c in sink.borrow().records() {
         println!(
             "  t={:>5} ms  y_n={:.4}  b_n={:.4}  s_n={:.3}  u_n=({} for {:.2}s, {} for {:.2}s)",
             c.t_ms,
             c.measured_gips,
             c.base_estimate,
             c.required_speedup,
-            c.lower,
-            c.tau_lower_s,
-            c.upper,
-            2.0 - c.tau_lower_s,
+            config(c.lower),
+            c.tau_lower_ms as f64 * 1e-3,
+            config(c.upper),
+            c.tau_upper_ms as f64 * 1e-3,
         );
     }
 }

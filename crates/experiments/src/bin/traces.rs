@@ -3,14 +3,18 @@
 //! material for plotting any of the paper's figures.
 //!
 //! Run: `cargo run --release -p asgov-experiments --bin traces [--app NAME]`
+//! (`NAME` is one of the six paper applications; default AngryBirds).
 //! Writes `results/<app>_{default,controller}_{series,events}.csv`.
 
 use asgov_core::{ControllerBuilder, PolicySpec};
 use asgov_experiments::render::csv;
 use asgov_governors::{AdrenoTz, CpubwHwmon, Interactive};
+use asgov_obs::EventLog;
 use asgov_profiler::{measure_default, profile_app, ProfileOptions};
 use asgov_soc::{event, Device, DeviceConfig, Policy, Workload};
-use asgov_workloads::{apps, BackgroundLoad};
+use asgov_workloads::{paper_apps, BackgroundLoad};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 fn series_and_events(
     dev_cfg: &DeviceConfig,
@@ -19,7 +23,8 @@ fn series_and_events(
     duration_ms: u64,
 ) -> (String, String) {
     let mut device = Device::new(dev_cfg.clone());
-    device.trace_mut().set_enabled(true);
+    let events = Rc::new(RefCell::new(EventLog::default()));
+    device.install_obs_sink(events.clone());
     device.monitor_mut().set_keep_trace(true);
     app.reset();
     let _ = event::run(&mut device, app, policies, duration_ms);
@@ -33,7 +38,7 @@ fn series_and_events(
         rows.push(vec![t.to_string(), format!("{mean:.4}")]);
     }
     let series = csv(&["t_ms", "power_w"], &rows);
-    let events = device.trace().to_csv();
+    let events = events.borrow().to_csv();
     (series, events)
 }
 
@@ -42,13 +47,16 @@ fn main() {
         .skip_while(|a| a != "--app")
         .nth(1)
         .unwrap_or_else(|| "AngryBirds".into());
-    let dev_cfg = DeviceConfig::nexus6();
-    let mut app = match app_name.as_str() {
-        "VidCon" => apps::vidcon(BackgroundLoad::baseline(1)),
-        "WeChat" => apps::wechat(BackgroundLoad::baseline(1)),
-        "Spotify" => apps::spotify(BackgroundLoad::baseline(1)),
-        _ => apps::angrybirds(BackgroundLoad::baseline(1)),
+    let apps = paper_apps(BackgroundLoad::baseline(1));
+    let names: Vec<String> = apps.iter().map(|a| a.name().to_string()).collect();
+    let Some(mut app) = apps.into_iter().find(|a| a.name() == app_name) else {
+        eprintln!(
+            "traces: unknown application {app_name:?}; expected one of: {}",
+            names.join(", ")
+        );
+        std::process::exit(2);
     };
+    let dev_cfg = DeviceConfig::nexus6();
     let duration = 60_000;
     std::fs::create_dir_all("results").expect("create results dir");
 

@@ -105,18 +105,19 @@ impl Histogram {
         self.max.is_finite().then_some(self.max)
     }
 
-    /// Upper bound of the bucket containing quantile `q` (0..=1) —
-    /// a conservative estimate, exact to bucket granularity.
+    /// Upper bound of the bucket containing quantile `q` (0..=1),
+    /// clamped to the finite samples' `[min, max]` — exact to bucket
+    /// granularity and never outside the observed range. `None` when no
+    /// finite sample was recorded.
     pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
+        let (min, max) = (self.min()?, self.max()?);
         let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
         let mut seen = 0;
         for (i, c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
-                return Some(self.bounds.get(i).copied().unwrap_or(f64::INFINITY));
+                let edge = self.bounds.get(i).copied().unwrap_or(f64::INFINITY);
+                return Some(edge.max(min).min(max));
             }
         }
         None
@@ -133,8 +134,8 @@ impl Histogram {
             .filter(|(_, c)| *c > 0)
     }
 
-    /// JSON summary: count, mean, min/max, p50/p95/p99 bucket bounds
-    /// and the non-empty buckets.
+    /// JSON summary: count, mean, min/max, p50/p95/p99 (clamped bucket
+    /// bounds) and the non-empty buckets.
     pub fn to_json(&self) -> Json {
         let mut o = Json::object();
         o.set("count", self.count as f64);
@@ -188,7 +189,8 @@ mod tests {
             h.record(3.0);
         }
         assert_eq!(h.quantile(0.5), Some(1.0));
-        assert_eq!(h.quantile(0.95), Some(4.0));
+        // The bucket edge (4.0) lies above the largest sample.
+        assert_eq!(h.quantile(0.95), Some(3.0));
     }
 
     #[test]

@@ -20,9 +20,13 @@
 //!   moments and shared-bounds log histograms with a bit-exactly
 //!   associative `merge`, so sharded partial aggregates fold in any
 //!   order without materializing per-device rows.
-//! - [`TraceSink`] — the trait the device and controller emit into;
-//!   [`NullSink`] discards everything (and is bit-identical to no sink
-//!   at all), [`RingSink`] retains records and aggregates [`Metrics`].
+//! - [`TraceSink`] — the one channel the device and controller emit
+//!   into: a [`CycleRecord`] per control cycle and a [`DeviceEvent`]
+//!   (with its payload) per DVFS transition, governor selection or
+//!   controller kill. [`NullSink`] discards everything (and is
+//!   bit-identical to no sink at all), [`RingSink`] retains records and
+//!   aggregates [`Metrics`], [`EventLog`] keeps the device events as
+//!   CSV.
 //!
 //! Records serialize to JSONL (one compact object per line, each line
 //! carrying the [`SCHEMA`] tag) through the vendored
@@ -41,12 +45,14 @@
 #![warn(missing_debug_implementations)]
 
 mod agg;
+mod event;
 mod hist;
 mod record;
 mod ring;
 mod sink;
 
 pub use agg::{FleetStats, LayoutMismatch};
+pub use event::{DeviceEvent, EventLog, Subsystem};
 pub use hist::Histogram;
 pub use record::{parse_jsonl, CycleRecord, FaultClass, Level, RecordError, LEGACY_SCHEMA, SCHEMA};
 pub use ring::RingBuffer;

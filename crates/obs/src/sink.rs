@@ -1,5 +1,6 @@
 //! The sink the device and controller emit trace data into.
 
+use crate::event::DeviceEvent;
 use crate::hist::Histogram;
 use crate::record::{CycleRecord, FaultClass, Level};
 use crate::ring::RingBuffer;
@@ -16,10 +17,10 @@ pub trait TraceSink: std::fmt::Debug {
     /// One control cycle completed.
     fn record_cycle(&mut self, rec: &CycleRecord);
 
-    /// A device-level actuation happened (`kind` is a stable name such
-    /// as `"cpu-freq"` or `"cpufreq-governor"`). Default: ignored.
-    fn device_event(&mut self, t_ms: u64, kind: &str) {
-        let _ = (t_ms, kind);
+    /// A device-level actuation happened at device time `t_ms`.
+    /// Default: ignored.
+    fn device_event(&mut self, t_ms: u64, event: DeviceEvent<'_>) {
+        let _ = (t_ms, event);
     }
 }
 
@@ -49,7 +50,7 @@ pub struct Metrics {
     /// Completed recoveries (back to `Full`), attributed to the fault
     /// class that opened the degraded episode.
     pub recoveries_by_fault: [u64; 5],
-    /// Device-level actuation events, by kind.
+    /// Device-level actuation events, all kinds together.
     pub device_events: u64,
     /// Optimizer solve time, ns.
     pub solve_ns: Histogram,
@@ -210,7 +211,7 @@ impl TraceSink for RingSink {
         self.ring.push(*rec);
     }
 
-    fn device_event(&mut self, _t_ms: u64, _kind: &str) {
+    fn device_event(&mut self, _t_ms: u64, _event: DeviceEvent<'_>) {
         self.metrics.device_events += 1;
     }
 }
@@ -283,7 +284,7 @@ mod tests {
     fn null_sink_accepts_everything() {
         let mut sink = NullSink;
         sink.record_cycle(&rec(0, None, Level::Full));
-        sink.device_event(10, "cpu-freq");
+        sink.device_event(10, DeviceEvent::CpuFreq(0, 1));
     }
 
     #[test]

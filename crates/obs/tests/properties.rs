@@ -1,8 +1,11 @@
 //! Property tests for the observability primitives: ring wraparound
-//! keeps exactly the newest N, and records survive a JSONL round trip
-//! bit-for-bit. Randomized but seeded — failures replay exactly.
+//! keeps exactly the newest N, records survive a JSONL round trip
+//! bit-for-bit, and histogram quantiles stay inside the samples'
+//! range. Randomized but seeded — failures replay exactly.
 
-use asgov_obs::{parse_jsonl, CycleRecord, FaultClass, Level, RingBuffer, RingSink, TraceSink};
+use asgov_obs::{
+    parse_jsonl, CycleRecord, FaultClass, Histogram, Level, RingBuffer, RingSink, TraceSink,
+};
 use asgov_util::Rng;
 
 fn random_record(rng: &mut Rng, cycle: u64) -> CycleRecord {
@@ -117,4 +120,39 @@ fn metrics_level_and_fault_tallies_match_the_stream() {
     assert_eq!(sink.metrics().level_cycles, level_expect);
     assert_eq!(sink.metrics().faults, fault_expect);
     assert_eq!(sink.metrics().solve_ns.count(), 500);
+}
+
+#[test]
+fn histogram_quantiles_lie_within_min_max() {
+    // Samples spread over and beyond the bucket range (including the
+    // overflow bucket and the odd non-finite value): every reported
+    // quantile is a clamped bucket edge, never outside [min, max].
+    let mut rng = Rng::seed_from_u64(0x0b5 + 4);
+    for case in 0..300 {
+        let mut h = if rng.gen_bool(0.5) {
+            Histogram::time_ns()
+        } else {
+            Histogram::magnitude()
+        };
+        let scale = 10f64.powf(rng.gen_range(-8.0..11.0));
+        for _ in 0..rng.gen_range_usize(1..60) {
+            if rng.gen_bool(0.05) {
+                h.record(f64::NAN);
+            } else {
+                h.record(rng.gen_range(0.0..1.0) * scale);
+            }
+        }
+        let (Some(min), Some(max)) = (h.min(), h.max()) else {
+            assert_eq!(h.quantile(0.5), None, "case {case}: no finite sample");
+            continue;
+        };
+        for q in [0.5, 0.95, 0.99] {
+            let v = h.quantile(q).expect("non-empty");
+            assert!(
+                (min..=max).contains(&v),
+                "case {case}: p{} = {v} outside [{min}, {max}]",
+                q * 100.0
+            );
+        }
+    }
 }

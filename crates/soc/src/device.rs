@@ -21,9 +21,8 @@ use crate::monitor::PowerMonitor;
 use crate::net::{NetRateIndex, Radio};
 use crate::pmu::Pmu;
 use crate::power::{PowerBreakdown, PowerModel, PowerModelParams};
-use crate::trace::{Trace, TraceEvent};
 use crate::workload::{Demand, Executed};
-use asgov_obs::{CycleRecord, TraceSink};
+use asgov_obs::{CycleRecord, DeviceEvent, Subsystem, TraceSink};
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -194,7 +193,6 @@ pub struct Device {
     last_busy_frac: f64,
     tool_load: f64,
     tool_power_w: f64,
-    trace: Trace,
     faults: Option<FaultInjector>,
     pending_kill: bool,
     obs: Option<Rc<RefCell<dyn TraceSink>>>,
@@ -237,7 +235,6 @@ impl Device {
             last_busy_frac: 0.0,
             tool_load: 0.0,
             tool_power_w: 0.0,
-            trace: Trace::default(),
             faults: None,
             pending_kill: false,
             obs: None,
@@ -305,16 +302,6 @@ impl Device {
     /// The battery.
     pub fn battery(&self) -> &Battery {
         &self.battery
-    }
-
-    /// The event trace (disabled by default; see [`Device::trace_mut`]).
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Mutable access to the event trace (enable, clear, export).
-    pub fn trace_mut(&mut self) -> &mut Trace {
-        &mut self.trace
     }
 
     /// Number of online cores (all four unless hotplugging changed it).
@@ -439,7 +426,10 @@ impl Device {
 
     // ---- observability ------------------------------------------------
 
-    /// Install an observability sink (see [`asgov_obs`]). The sink is
+    /// Install an observability sink (see [`asgov_obs`]): the one
+    /// channel that receives every control-cycle record and every
+    /// [`DeviceEvent`] (DVFS transition, governor selection, controller
+    /// kill) with its payload. The sink is
     /// shared — clones of the device emit into the same sink. Without
     /// one, the observability layer costs nothing; with a
     /// [`asgov_obs::NullSink`], simulation outputs are bit-identical to
@@ -474,9 +464,9 @@ impl Device {
     }
 
     /// Emit a device-level actuation event into the sink, if present.
-    fn obs_event(&self, kind: &'static str) {
+    fn obs_event(&self, event: DeviceEvent<'_>) {
         if let Some(sink) = &self.obs {
-            sink.borrow_mut().device_event(self.now_ms, kind);
+            sink.borrow_mut().device_event(self.now_ms, event);
         }
     }
 
@@ -511,9 +501,7 @@ impl Device {
             }
         }
         if idx != self.freq {
-            self.trace
-                .record(self.now_ms, TraceEvent::CpuFreq(self.freq.0, idx.0));
-            self.obs_event("cpu-freq");
+            self.obs_event(DeviceEvent::CpuFreq(self.freq.0, idx.0));
             self.freq = idx;
             self.freq_transitions += 1;
             self.pending_transition_energy_j += TRANSITION_ENERGY_J;
@@ -527,9 +515,7 @@ impl Device {
     /// Panics if `idx` is out of the GPU ladder's range.
     pub fn set_gpu_freq(&mut self, idx: GpuFreqIndex) {
         if idx != self.gpu.freq() {
-            self.trace
-                .record(self.now_ms, TraceEvent::GpuFreq(self.gpu.freq().0, idx.0));
-            self.obs_event("gpu-freq");
+            self.obs_event(DeviceEvent::GpuFreq(self.gpu.freq().0, idx.0));
             self.gpu.set_freq(idx);
             self.pending_transition_energy_j += TRANSITION_ENERGY_J;
         }
@@ -544,9 +530,7 @@ impl Device {
     pub fn set_mem_bw(&mut self, idx: BwIndex) {
         assert!(idx.0 < self.table.num_bws(), "bandwidth index out of range");
         if idx != self.bw {
-            self.trace
-                .record(self.now_ms, TraceEvent::MemBw(self.bw.0, idx.0));
-            self.obs_event("mem-bw");
+            self.obs_event(DeviceEvent::MemBw(self.bw.0, idx.0));
             self.bw = idx;
             self.bw_transitions += 1;
             self.pending_transition_energy_j += TRANSITION_ENERGY_J;
@@ -555,14 +539,10 @@ impl Device {
 
     /// Select the cpufreq governor (kernel path; sysfs writes route here).
     pub fn set_cpu_governor(&mut self, name: &str) {
-        self.trace.record(
-            self.now_ms,
-            TraceEvent::Governor {
-                subsystem: "cpufreq",
-                name: name.to_string(),
-            },
-        );
-        self.obs_event("cpufreq-governor");
+        self.obs_event(DeviceEvent::Governor {
+            subsystem: Subsystem::Cpufreq,
+            name,
+        });
         self.cpu_governor = name.to_string();
         match name {
             "performance" => self.set_cpu_freq(self.table.max_freq()),
@@ -573,14 +553,10 @@ impl Device {
 
     /// Select the devfreq governor (kernel path; sysfs writes route here).
     pub fn set_bw_governor(&mut self, name: &str) {
-        self.trace.record(
-            self.now_ms,
-            TraceEvent::Governor {
-                subsystem: "devfreq",
-                name: name.to_string(),
-            },
-        );
-        self.obs_event("devfreq-governor");
+        self.obs_event(DeviceEvent::Governor {
+            subsystem: Subsystem::Devfreq,
+            name,
+        });
         self.bw_governor = name.to_string();
         match name {
             "performance" => self.set_mem_bw(self.table.max_bw()),
@@ -693,7 +669,7 @@ impl Device {
             }
             if actions.controller_kill {
                 self.pending_kill = true;
-                self.obs_event("controller-kill");
+                self.obs_event(DeviceEvent::ControllerKill);
             }
         }
         let dt_s = TICK_MS as f64 * 1e-3;
@@ -1053,6 +1029,32 @@ mod tests {
         assert_eq!(d.bw(), BwIndex(12));
         d.set_cpu_governor("powersave");
         assert_eq!(d.freq(), FreqIndex(0));
+    }
+
+    #[test]
+    fn each_actuation_reaches_the_sink_once() {
+        use crate::faults::{FaultInjector, FaultKind, FaultPlan};
+        let mut d = quiet_device();
+        let log = Rc::new(RefCell::new(asgov_obs::EventLog::default()));
+        d.install_obs_sink(log.clone());
+        let plan = FaultPlan::new()
+            .window(1, 2, FaultKind::ControllerKill)
+            .expect("valid window");
+        d.install_faults(FaultInjector::new(plan, 1));
+        d.set_cpu_freq(FreqIndex(5));
+        d.set_cpu_freq(FreqIndex(5)); // no-op, same freq
+        d.set_mem_bw(BwIndex(3));
+        d.set_gpu_freq(GpuFreqIndex(2));
+        d.tick(&Demand::idle());
+        d.tick(&Demand::idle());
+        d.set_cpu_governor("performance");
+        d.set_bw_governor("userspace");
+        assert_eq!(
+            log.borrow().to_csv(),
+            "t_ms,kind,from,to\n0,cpufreq,f1,f6\n0,membw,bw1,bw4\n0,gpufreq,g1,g3\n\
+             1,kill,controller,\n2,governor,cpufreq,performance\n2,cpufreq,f6,f18\n\
+             2,governor,devfreq,userspace\n"
+        );
     }
 
     #[test]

@@ -57,7 +57,6 @@ mod pmu;
 mod power;
 pub mod sim;
 pub mod sysfs;
-pub mod trace;
 mod workload;
 
 pub use battery::Battery;
@@ -76,7 +75,6 @@ pub use net::{NetRateIndex, Radio};
 pub use perf::{PerfReader, PerfReading};
 pub use pmu::Pmu;
 pub use power::{PowerBreakdown, PowerModel, PowerModelParams};
-pub use trace::{Trace, TraceEvent, TraceRecord};
 pub use workload::{BackgroundDemand, ConstantWorkload, Demand, Executed, Workload};
 
 /// Trait implemented by DVFS governors and by the online controller.

@@ -19,13 +19,11 @@ for bin in table1 table2 table3 table4 table5 fig1 fig2 fig3 fig4 fig5 \
   # and the supervised cold-vs-warm restart kill matrix.
   EXTRA=""
   [ "$bin" = "chaos" ] && EXTRA="--trace --kill-matrix"
-  if [ "$QUICK" = "--quick" ]; then
-    cargo run --release -p asgov-experiments --bin "$bin" -- --quick $EXTRA \
-      > "results/$bin.txt" 2>&1 || true
-  else
-    cargo run --release -p asgov-experiments --bin "$bin" -- $EXTRA \
-      > "results/$bin.txt" 2>&1
-  fi
+  # A failing binary fails the whole run, quick or not.
+  cargo run --release -p asgov-experiments --bin "$bin" -- $QUICK $EXTRA \
+    > "results/$bin.txt" 2>&1 \
+    || { echo "FAIL: $bin exited non-zero; tail of results/$bin.txt:" >&2
+         tail -n 20 "results/$bin.txt" >&2; exit 1; }
 done
 # The fleet study scales with device count rather than a --quick flag:
 # smoke (10^3 devices) for the quick pass, the full 10^5-device bench
@@ -62,7 +60,7 @@ fi
 echo "=== bench ==="
 if [ "$QUICK" = "--quick" ]; then
   cargo run --release -p asgov-bench -- --quick \
-    > "results/bench.txt" 2>&1 || true
+    > "results/bench.txt" 2>&1
 else
   cargo run --release -p asgov-bench \
     > "results/bench.txt" 2>&1
