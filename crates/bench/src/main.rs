@@ -147,15 +147,17 @@ fn controller_suite(quick: bool) -> Json {
     // A full closed-loop run: device + app + controller stack for
     // `sim_ms` simulated milliseconds (control cycle = 2 s).
     let sim_ms: u64 = if quick { 4_000 } else { 20_000 };
-    let run_cfg = BenchConfig {
-        warmup_iters: 1,
-        samples: if quick { 5 } else { 15 },
-        inner: 1,
-    };
     // The same closed loop with and without the observability sink
     // installed, as an interleaved paired A/B: each round runs both, so
     // host-load drift cancels in the per-round ratio. The ratio is the
-    // tracing overhead budget (acceptance: < 5 % per cycle).
+    // tracing overhead budget (acceptance: < 5 % per cycle). A run costs
+    // milliseconds, so even `--quick` takes enough pairs for the median
+    // ratio to settle: with a handful, one loaded round moves it.
+    let pair_cfg = BenchConfig {
+        warmup_iters: 1,
+        samples: if quick { 21 } else { 31 },
+        inner: 1,
+    };
     let closed_loop = |sink: Option<Rc<RefCell<RingSink>>>| {
         let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = apps::spotify(BackgroundLoad::baseline(1));
@@ -176,7 +178,7 @@ fn controller_suite(quick: bool) -> Json {
             &format!("controller_run/{sim_ms}ms"),
             &format!("controller_run_traced/{sim_ms}ms"),
         ),
-        &run_cfg,
+        &pair_cfg,
         || closed_loop(None),
         || closed_loop(Some(Rc::new(RefCell::new(RingSink::new(4096))))),
     );
@@ -254,21 +256,24 @@ fn simulator_suite(quick: bool) -> Json {
     let gov_ns_per_tick = r.median_ns / sim_ms as f64;
     results.push(r);
 
+    // Monitor noise cost, counted rather than timed: Gaussian draws per
+    // simulated second of the spotify run above (the monitor draws once
+    // per energy read, so this is about 0, not one per millisecond).
+    let mut device = Device::new(DeviceConfig::nexus6());
+    let mut app = apps::spotify(BackgroundLoad::baseline(1));
+    black_box(sim::run(&mut device, &mut app, &mut [], sim_ms));
+    let noise_draws_per_sim_s = device.monitor().noise_draws() as f64 / (sim_ms as f64 * 1e-3);
+
     // Event-core rows: a steady, span-friendly scenario (constant
-    // demand, no monitor noise) run through BOTH cores, so the derived
-    // speedups compare bit-identical work. The spotify rows above are
-    // per-millisecond by construction (the app and background load draw
-    // randomness every millisecond) and cannot coalesce without
-    // changing results — see DESIGN.md §9.
-    let steady_cfg = || {
-        let mut c = DeviceConfig::nexus6();
-        c.monitor_noise_w = 0.0;
-        c
-    };
+    // demand, the shipped device config) run through BOTH cores, so the
+    // derived speedups compare bit-identical work. The spotify rows
+    // above are per-millisecond by construction (the app and background
+    // load draw randomness every millisecond) and cannot coalesce
+    // without changing results — see DESIGN.md §9.
     let steady_app = || ConstantWorkload::new("steady", 0.5, 1.5, 1.0);
 
     let r = bench(&format!("sim_tick_bare/{sim_ms}ms"), &run_cfg, || {
-        let mut device = Device::new(steady_cfg());
+        let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = steady_app();
         black_box(sim::run(&mut device, &mut app, &mut [], sim_ms));
     });
@@ -277,7 +282,7 @@ fn simulator_suite(quick: bool) -> Json {
 
     let events = Cell::new(0u64);
     let r = bench(&format!("sim_event_bare/{sim_ms}ms"), &run_cfg, || {
-        let mut device = Device::new(steady_cfg());
+        let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = steady_app();
         let (report, engine) = event::run_counted(&mut device, &mut app, &mut [], sim_ms);
         events.set(engine.events);
@@ -288,7 +293,7 @@ fn simulator_suite(quick: bool) -> Json {
     results.push(r);
 
     let r = bench(&format!("sim_tick_governors/{sim_ms}ms"), &run_cfg, || {
-        let mut device = Device::new(steady_cfg());
+        let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = steady_app();
         let mut bw = CpubwHwmon::default();
         let mut gpu = AdrenoTz::default();
@@ -299,7 +304,7 @@ fn simulator_suite(quick: bool) -> Json {
     results.push(r);
 
     let r = bench(&format!("sim_event_governors/{sim_ms}ms"), &run_cfg, || {
-        let mut device = Device::new(steady_cfg());
+        let mut device = Device::new(DeviceConfig::nexus6());
         let mut app = steady_app();
         let mut bw = CpubwHwmon::default();
         let mut gpu = AdrenoTz::default();
@@ -316,6 +321,7 @@ fn simulator_suite(quick: bool) -> Json {
     derived.set("bare_ns_per_tick", bare_ns_per_tick);
     derived.set("governors_ns_per_tick", gov_ns_per_tick);
     derived.set("bare_ticks_per_sec", 1e9 / bare_ns_per_tick);
+    derived.set("noise_draws_per_sim_s", noise_draws_per_sim_s);
     // Event-core aggregates (bit-identical runs, same simulated span).
     derived.set("event_speedup_bare", tick_bare_ns / event_bare_ns);
     derived.set("event_speedup_governors", tick_gov_ns / event_gov_ns);

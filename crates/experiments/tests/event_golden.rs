@@ -4,7 +4,8 @@
 //! payload, in order.
 //!
 //! The CSVs under `event_golden/` were written by the device's former
-//! dedicated event trace on the same runs; the sink's rows must match
+//! dedicated event trace on the same runs, plus the kgsl governor
+//! selection row that trace never carried; the sink's rows must match
 //! them byte for byte. The fault plan covers both actuations the
 //! controller does not make itself: a one-shot external governor reset
 //! and a thermal clamp of the CPU frequency.

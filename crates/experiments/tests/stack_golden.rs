@@ -8,7 +8,10 @@
 //! snapshot frames — and compared
 //! against `stack_golden.txt`. The pins were captured while each call
 //! site still assembled its own governor list, margin and seed; the
-//! single controller recipe must reproduce every bit.
+//! single controller recipe must reproduce every bit. The energy, power
+//! and savings pins were re-captured once when the power monitor moved
+//! its measurement noise from one draw per millisecond to one draw per
+//! energy read.
 //!
 //! Options are small (stride 4, 3 s profile windows, runs of seconds)
 //! so the whole file runs in well under a minute in debug builds.

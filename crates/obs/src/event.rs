@@ -34,6 +34,8 @@ pub enum Subsystem {
     Cpufreq,
     /// Memory-bus bandwidth (`devfreq`).
     Devfreq,
+    /// GPU frequency (the `kgsl` driver's devfreq governor).
+    Kgsl,
 }
 
 impl Subsystem {
@@ -42,6 +44,7 @@ impl Subsystem {
         match self {
             Subsystem::Cpufreq => "cpufreq",
             Subsystem::Devfreq => "devfreq",
+            Subsystem::Kgsl => "kgsl",
         }
     }
 }
@@ -62,6 +65,10 @@ impl DeviceEvent<'_> {
                 subsystem: Subsystem::Devfreq,
                 ..
             } => "devfreq-governor",
+            DeviceEvent::Governor {
+                subsystem: Subsystem::Kgsl,
+                ..
+            } => "kgsl-governor",
             DeviceEvent::ControllerKill => "controller-kill",
         }
     }
@@ -129,7 +136,7 @@ mod tests {
     }
 
     #[test]
-    fn kinds_are_the_six_stable_names() {
+    fn kinds_are_the_seven_stable_names() {
         let gov = |subsystem| DeviceEvent::Governor {
             subsystem,
             name: "interactive",
@@ -140,6 +147,7 @@ mod tests {
             DeviceEvent::MemBw(0, 1),
             gov(Subsystem::Cpufreq),
             gov(Subsystem::Devfreq),
+            gov(Subsystem::Kgsl),
             DeviceEvent::ControllerKill,
         ]
         .iter()
@@ -153,6 +161,7 @@ mod tests {
                 "mem-bw",
                 "cpufreq-governor",
                 "devfreq-governor",
+                "kgsl-governor",
                 "controller-kill"
             ]
         );

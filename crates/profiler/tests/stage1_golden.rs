@@ -6,7 +6,10 @@
 //! the `f64::to_bits` of its speedup and power — and compared against
 //! `stage1_golden.txt`. The pins were captured when each path still had
 //! its own hand-copied device set-up and sweep loop; the shared
-//! pinned-run primitive and ladder sweep must reproduce every bit.
+//! pinned-run primitive and ladder sweep must reproduce every bit. The
+//! power and energy pins were re-captured once when the power monitor
+//! moved its measurement noise from one draw per millisecond to one
+//! draw per energy read.
 //!
 //! Options are small (stride 4, 2 runs of 3 s) so the whole file runs in
 //! a few seconds.

@@ -521,8 +521,13 @@ impl Device {
         }
     }
 
-    /// Select the GPU devfreq governor.
+    /// Select the GPU devfreq governor (kernel path; sysfs writes route
+    /// here).
     pub fn set_gpu_governor(&mut self, name: &str) {
+        self.obs_event(DeviceEvent::Governor {
+            subsystem: Subsystem::Kgsl,
+            name,
+        });
         self.gpu.set_governor(name);
     }
 
@@ -575,7 +580,10 @@ impl Device {
     // ---- statistics ----------------------------------------------------
 
     /// Snapshot of cumulative statistics since the last
-    /// [`Device::reset_stats`].
+    /// [`Device::reset_stats`]. Reads the monitor's energy, so it folds
+    /// in the measurement noise pending since the previous energy read
+    /// (see [`PowerMonitor`]); read it at the same simulated instants to
+    /// reproduce a run bit for bit.
     pub fn stats(&self) -> DeviceStats {
         let elapsed_ms = self.now_ms - self.stats_start_ms;
         let instructions = self.pmu.instructions() - self.instr_at_stats_start;
@@ -595,6 +603,13 @@ impl Device {
             freq_transitions: self.freq_transitions,
             bw_transitions: self.bw_transitions,
         }
+    }
+
+    /// Milliseconds spent at each CPU frequency since the last
+    /// [`Device::reset_stats`] (the cpufreq `stats/time_in_state`
+    /// residency). Never touches the power monitor.
+    pub fn time_in_freq_ms(&self) -> &[u64] {
+        &self.time_in_freq_ms
     }
 
     /// Reset statistics (histograms, energy integrator, transition
@@ -632,11 +647,14 @@ impl Device {
     /// may cover is a no-op at interior milliseconds (see
     /// [`FaultInjector::next_event_ms`]). The expensive contention /
     /// roofline / power model is evaluated once, and every
-    /// per-millisecond accumulator (PMU counters, busy time, monitor
-    /// energy — including its per-sample noise draws — battery, GPU and
-    /// radio counters) then receives the exact same sequence of
-    /// floating-point additions a 1 ms loop would produce. Pending DVFS
-    /// transition energy is charged into the first millisecond only.
+    /// per-millisecond accumulator (PMU counters, busy time, noiseless
+    /// monitor energy, battery, GPU and radio counters) then receives
+    /// the exact same sequence of floating-point additions a 1 ms loop
+    /// would produce. Monitor noise is drawn only when energy is read
+    /// (see [`PowerMonitor`]), so a span and its 1 ms ticks also agree
+    /// on noisy energy whenever it is read at the same instants.
+    /// Pending DVFS transition energy is charged into the first
+    /// millisecond only.
     /// The returned outcome is that of the first millisecond of the
     /// span (the remaining milliseconds are identical except for the
     /// transition-energy surcharge).
@@ -778,8 +796,8 @@ impl Device {
         // Each accumulator receives the identical sequence of additions
         // a 1 ms loop would produce (f64 addition is not associative,
         // so the per-ms adds must not be hoisted; fusing is safe
-        // because the accumulators are independent and the monitor's
-        // noise-RNG call order is unchanged).
+        // because the accumulators are independent and the monitor
+        // draws no noise here).
         let cycles = fg_busy_cores * f_hz * dt_s;
         let bus_bytes = (fg_traffic_bps + bg_traffic_bps) * dt_s;
         self.pmu.record(instructions, cycles, bus_bytes);
@@ -1279,6 +1297,64 @@ mod tests {
             (d.monitor().energy_j(), d.pmu().instructions())
         };
         assert_eq!(run(false), run(true));
+    }
+
+    /// A noisy 3 s run with a frequency step; `probe` runs after every
+    /// tick. Returns the run's energy bits as `sim::run` would report them.
+    fn noisy_run_energy_bits(keep_trace: bool, probe: impl Fn(&Device)) -> u64 {
+        let mut d = Device::new(DeviceConfig::nexus6().with_seed(17));
+        d.monitor_mut().set_keep_trace(keep_trace);
+        d.set_cpu_governor("userspace");
+        d.reset_stats();
+        for i in 0..3_000u64 {
+            if i == 1_200 {
+                d.set_cpu_freq(FreqIndex(9));
+            }
+            d.tick(&cpu_demand(0.3));
+            probe(&d);
+        }
+        assert_eq!(
+            d.monitor().trace().len(),
+            if keep_trace { 3_000 } else { 0 }
+        );
+        d.stats().energy_j.to_bits()
+    }
+
+    #[test]
+    fn trace_retention_leaves_energy_bits_unchanged() {
+        assert_eq!(
+            noisy_run_energy_bits(true, |_| {}),
+            noisy_run_energy_bits(false, |_| {})
+        );
+    }
+
+    #[test]
+    fn mid_run_time_in_state_read_leaves_energy_bits_unchanged() {
+        let path = format!("{}/stats/time_in_state", crate::sysfs::CPUFREQ);
+        let probed = noisy_run_energy_bits(false, |d| {
+            if d.now_ms() % 100 == 0 {
+                let table = d.sysfs_read(&path).expect("readable");
+                assert_eq!(table.lines().count(), d.table().num_freqs());
+                assert_eq!(d.monitor().noise_draws(), 0, "sysfs read drew noise");
+            }
+        });
+        assert_eq!(probed, noisy_run_energy_bits(false, |_| {}));
+    }
+
+    #[test]
+    fn gpu_governor_switch_is_a_device_event() {
+        use asgov_obs::EventLog;
+        let mut d = quiet_device();
+        let log = Rc::new(RefCell::new(EventLog::default()));
+        d.install_obs_sink(log.clone());
+        d.set_gpu_governor("userspace");
+        d.tick(&Demand::idle());
+        d.sysfs_write(&format!("{}/governor", crate::sysfs::KGSL), "msm-adreno-tz")
+            .expect("kgsl governor is writable");
+        assert_eq!(
+            log.borrow().to_csv(),
+            "t_ms,kind,from,to\n0,governor,kgsl,userspace\n1,governor,kgsl,msm-adreno-tz\n"
+        );
     }
 
     #[test]

@@ -40,7 +40,11 @@
 //! - [`Device::tick_span`] preserves the exact floating-point addition
 //!   order of every per-millisecond accumulator (f64 addition is not
 //!   associative, so sums are replayed, not hoisted), including the
-//!   power monitor's per-sample noise draws;
+//!   power monitor's noiseless energy;
+//! - the monitor draws its measurement noise only when energy is read
+//!   (one N(0, n·σ²) draw for the `n` ms since the previous read), and
+//!   both cores read it at the same instants: the report at the end of
+//!   the run. Policies and sysfs reads in between touch no energy;
 //! - spans never cross a fault window edge, and only an active one-shot
 //!   window that has not fired yet (governor reset, controller kill)
 //!   forces a 1 ms span: it fires on that span's first tick, and the
@@ -264,7 +268,7 @@ mod tests {
         ]
     }
 
-    /// Noise on: the monitor's per-sample RNG stream must survive span
+    /// Noise on: the monitor's read-time noise draw must survive span
     /// coalescing bit-for-bit.
     #[test]
     fn event_core_matches_tick_core_with_noise_and_faults() {

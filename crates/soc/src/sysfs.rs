@@ -79,7 +79,7 @@ pub(crate) fn read(dev: &Device, path: &str) -> Result<String, SocError> {
                 .join(" ")),
             "scaling_available_governors" => Ok(CPU_GOVERNORS.join(" ")),
             "stats/time_in_state" => {
-                let stats = dev.stats();
+                let residency = dev.time_in_freq_ms();
                 Ok(dev
                     .table()
                     .freq_indices()
@@ -87,7 +87,7 @@ pub(crate) fn read(dev: &Device, path: &str) -> Result<String, SocError> {
                         format!(
                             "{} {}",
                             dev.table().freq(i).khz(),
-                            stats.time_in_freq_ms.get(i.0).copied().unwrap_or(0)
+                            residency.get(i.0).copied().unwrap_or(0)
                         )
                     })
                     .collect::<Vec<_>>()
